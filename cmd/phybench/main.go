@@ -437,19 +437,6 @@ func main() {
 		body     func(b *testing.B)
 	}{
 		{name: "phy_transmit", body: func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(1, 2))
-			l := link
-			for i := 0; i < b.N; i++ {
-				l.StartPhase = rng.Float64()
-				samples := l.Transmit(rng, txSlots)
-				phy.RecycleSamples(samples)
-			}
-		}},
-		{name: "phy_transmit_pcg", body: func(b *testing.B) {
-			// The production hot path: sessions own a concrete PCG and take
-			// TransmitPCG, whose uniforms inline. No recorded baseline — the
-			// entry point postdates the baseline capture; compare against
-			// phy_transmit in the same report instead.
 			pcg := rand.NewPCG(1, 2)
 			rng := rand.New(pcg)
 			l := link
@@ -460,10 +447,10 @@ func main() {
 			}
 		}},
 		{name: "receiver_process", frames: 4, body: func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(3, 4))
+			pcg := rand.NewPCG(3, 4)
 			l := link
-			l.StartPhase = rng.Float64()
-			samples := l.Transmit(rng, rxSlots)
+			l.StartPhase = rand.New(pcg).Float64()
+			samples := l.TransmitPCG(pcg, rxSlots)
 			rx := phy.NewReceiver(ch, sch.Factory())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -474,8 +461,7 @@ func main() {
 			}
 		}},
 		{name: "receiver_hunt", body: func(b *testing.B) {
-			rng := rand.New(rand.NewPCG(5, 6))
-			samples := link.Transmit(rng, make([]bool, 20000))
+			samples := link.TransmitPCG(rand.NewPCG(5, 6), make([]bool, 20000))
 			rx := phy.NewReceiver(ch, sch.Factory())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

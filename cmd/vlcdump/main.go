@@ -76,7 +76,8 @@ func record(args []string) error {
 		return err
 	}
 	var slots []bool
-	rng := rand.New(rand.NewPCG(*seed, 0xCAFE))
+	pcg := rand.NewPCG(*seed, 0xCAFE)
+	rng := rand.New(pcg)
 	for i := 0; i < *frames; i++ {
 		body := make([]byte, *payload)
 		for j := range body {
@@ -113,7 +114,7 @@ func record(args []string) error {
 		}
 		link := phy.DefaultLink(ch)
 		link.StartPhase = rng.Float64()
-		samples := link.Transmit(rng, slots)
+		samples := link.TransmitPCG(pcg, slots)
 		if err := w.WriteNote(fmt.Sprintf("rx samples: d=%.2fm ambient=%.0flux", *distance, *ambient)); err != nil {
 			return err
 		}

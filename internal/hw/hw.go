@@ -43,14 +43,18 @@ func (l LED) Step(cur, target, dt float64) float64 {
 		if l.RiseSeconds <= 0 {
 			return target
 		}
-		next := cur + dt/l.RiseSeconds
-		return math.Min(next, target)
+		if next := cur + dt/l.RiseSeconds; next < target {
+			return next
+		}
+		return target
 	}
 	if l.FallSeconds <= 0 {
 		return target
 	}
-	next := cur - dt/l.FallSeconds
-	return math.Max(next, target)
+	if next := cur - dt/l.FallSeconds; next > target {
+		return next
+	}
+	return target
 }
 
 // MinSlotSeconds returns the shortest slot that still reaches at least

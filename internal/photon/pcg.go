@@ -82,8 +82,15 @@ func samplePTRSPCG(p *rand.PCG, lambda float64) int {
 	}
 }
 
-// SampleNPCG is SampleN drawing from a concrete PCG stream; the two are
-// bit-exact twins over the same generator.
+// SampleNPCG fills dst with Poisson(lambda) variates drawn from a
+// concrete PCG stream. This is the settled-run block fill of the
+// transmitter: one call covers a whole run of windows that share the
+// sampler's mean, so the per-call dispatch, constant loads, and (for
+// tabled means) the entire rejection machinery are amortized over the
+// run. Means within maxTableLambda draw by inverted CDF — one uniform
+// each, the quantile tableDraw(u) — and so consume the stream
+// differently from Sample; larger means fall back to the PTRS loop,
+// which matches Sample draw for draw.
 func (s *Sampler) SampleNPCG(p *rand.PCG, dst []int) {
 	switch {
 	case s.lambda <= 0:

@@ -62,13 +62,14 @@ func benchSlots(b *testing.B, level float64, nFrames, idleGap int) []bool {
 func BenchmarkPHYTransmit(b *testing.B) {
 	link, _, _ := benchLink(b)
 	slots := benchSlots(b, 0.5, 4, 24)
-	rng := rand.New(rand.NewPCG(1, 2))
+	pcg := rand.NewPCG(1, 2)
+	rng := rand.New(pcg)
 	b.SetBytes(int64(len(slots)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		link.StartPhase = rng.Float64()
-		out := link.Transmit(rng, slots)
+		out := link.TransmitPCG(pcg, slots)
 		RecycleSamples(out)
 	}
 }
@@ -79,9 +80,9 @@ func BenchmarkPHYTransmit(b *testing.B) {
 func BenchmarkReceiverProcess(b *testing.B) {
 	link, ch, factory := benchLink(b)
 	slots := benchSlots(b, 0.5, 4, 600)
-	rng := rand.New(rand.NewPCG(3, 4))
-	link.StartPhase = rng.Float64()
-	samples := link.Transmit(rng, slots)
+	pcg := rand.NewPCG(3, 4)
+	link.StartPhase = rand.New(pcg).Float64()
+	samples := link.TransmitPCG(pcg, slots)
 	rx := NewReceiver(ch, factory)
 	b.SetBytes(int64(len(samples)))
 	b.ReportAllocs()
@@ -100,8 +101,7 @@ func BenchmarkReceiverProcess(b *testing.B) {
 func BenchmarkReceiverHunt(b *testing.B) {
 	link, ch, factory := benchLink(b)
 	slots := make([]bool, 20000) // dark air: ambient photons only
-	rng := rand.New(rand.NewPCG(5, 6))
-	samples := link.Transmit(rng, slots)
+	samples := link.TransmitPCG(rand.NewPCG(5, 6), slots)
 	rx := NewReceiver(ch, factory)
 	b.SetBytes(int64(len(samples)))
 	b.ReportAllocs()

@@ -75,9 +75,8 @@ func FuzzBatchedReceiverEquivalence(f *testing.F) {
 		for i := range slots {
 			slots[i] = raw[i/8]&(1<<(i%8)) != 0
 		}
-		rng := rand.New(rand.NewPCG(seed, 0xFE))
 		link.StartPhase = float64(phase) / 65536
-		air := link.Transmit(rng, slots)
+		air := link.TransmitPCG(rand.NewPCG(seed, 0xFE), slots)
 
 		// Stream B: raw bytes as sample values.
 		direct := make([]int, len(raw))
@@ -111,30 +110,23 @@ func FuzzBatchedReceiverEquivalence(f *testing.F) {
 	})
 }
 
-// TestTransmitSteadyStateZeroAllocs pins the batched transmitter's
-// steady state at zero allocations per frame, for both rng flavors. GC
-// is disabled around the measurement so a background cycle cannot strip
-// the buffer pools mid-run.
+// TestTransmitSteadyStateZeroAllocs pins the one-pass transmitter's
+// steady state at zero allocations per frame. GC is disabled around the
+// measurement so a background cycle cannot strip the buffer pools
+// mid-run.
 func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	link, _, _ := fuzzOperatingPoint(t)
 	slots := benchSlotsT(t, 0.5, 2, 24)
-	rng := rand.New(rand.NewPCG(1, 2))
 	pcg := rand.NewPCG(3, 4)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Warm the sampler cache, plan pool and sample buffers.
+	// Warm the sampler cache and sample buffers.
 	link.StartPhase = 0.25
-	RecycleSamples(link.Transmit(rng, slots))
 	RecycleSamples(link.TransmitPCG(pcg, slots))
 
-	if n := testing.AllocsPerRun(20, func() {
-		RecycleSamples(link.Transmit(rng, slots))
-	}); n != 0 {
-		t.Errorf("Transmit steady state: %v allocs/op", n)
-	}
 	if n := testing.AllocsPerRun(20, func() {
 		RecycleSamples(link.TransmitPCG(pcg, slots))
 	}); n != 0 {
@@ -151,9 +143,9 @@ func TestProcessSteadyStateZeroAllocs(t *testing.T) {
 	}
 	link, ch, factory := fuzzOperatingPoint(t)
 	slots := benchSlotsT(t, 0.5, 2, 200)
-	rng := rand.New(rand.NewPCG(5, 6))
-	link.StartPhase = rng.Float64()
-	samples := link.Transmit(rng, slots)
+	pcg := rand.NewPCG(5, 6)
+	link.StartPhase = rand.New(pcg).Float64()
+	samples := link.TransmitPCG(pcg, slots)
 	rx := NewReceiver(ch, factory)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -7,7 +7,7 @@ import (
 	"smartvlc/internal/telemetry"
 )
 
-// TxMetrics instruments Link.Transmit. A nil *TxMetrics (the default) is a
+// TxMetrics instruments Link.TransmitPCG. A nil *TxMetrics (the default) is a
 // no-op, so the per-sample fast-path accounting costs one nil check when
 // telemetry is off. Handles are created once per session; the hot path
 // performs only atomic adds.
@@ -18,7 +18,7 @@ type TxMetrics struct {
 	// ExactWindows counts sample windows that took the per-segment slew
 	// integration (the "ODE path").
 	ExactWindows *telemetry.Counter
-	// Frames counts Transmit calls; Samples counts emitted RX samples.
+	// Frames counts TransmitPCG calls; Samples counts emitted RX samples.
 	Frames  *telemetry.Counter
 	Samples *telemetry.Counter
 }
@@ -38,9 +38,9 @@ func NewTxMetrics(r *telemetry.Registry) *TxMetrics {
 	}
 }
 
-// onWindows records one Transmit's window classification totals in a
-// single pair of atomic adds — the batched pipeline counts per run, not
-// per window.
+// onWindows records one TransmitPCG's settled/exact window totals in a
+// single pair of atomic adds — the transmitter counts per call, not per
+// window.
 func (m *TxMetrics) onWindows(settled, exact int) {
 	if m != nil {
 		m.SettledWindows.Add(int64(settled))

@@ -33,9 +33,8 @@ func amppmScheme(t testing.TB) *scheme.AMPPM {
 
 func TestTransmitSampleCount(t *testing.T) {
 	l := DefaultLink(channelAt(t, 3, 5000))
-	rng := rand.New(rand.NewPCG(1, 2))
 	slots := make([]bool, 100)
-	samples := l.Transmit(rng, slots)
+	samples := l.TransmitPCG(rand.NewPCG(1, 2), slots)
 	// 4 samples per slot plus the short hold tail.
 	if len(samples) < 400 || len(samples) > 412 {
 		t.Fatalf("samples = %d", len(samples))
@@ -45,13 +44,13 @@ func TestTransmitSampleCount(t *testing.T) {
 func TestTransmitSignalLevels(t *testing.T) {
 	ch := channelAt(t, 3, 5000)
 	l := DefaultLink(ch)
-	rng := rand.New(rand.NewPCG(3, 4))
+	pcg := rand.NewPCG(3, 4)
 	// Long ON run then long OFF run.
 	slots := make([]bool, 2000)
 	for i := 0; i < 1000; i++ {
 		slots[i] = true
 	}
-	samples := l.Transmit(rng, slots)
+	samples := l.TransmitPCG(pcg, slots)
 	onMean := meanOf(samples[100:3900])
 	offMean := meanOf(samples[4100 : len(samples)-10])
 	wantOn := (ch.SignalPerSlot + ch.AmbientPerSlot) / 4
@@ -85,17 +84,15 @@ func TestLEDSlewSoftensTransitions(t *testing.T) {
 	}
 	slow.LED.RiseSeconds = 8e-6 // a full slot to rise
 	slow.LED.FallSeconds = 8e-6
-	rng := rand.New(rand.NewPCG(5, 6))
 	slots := make([]bool, 400)
 	for i := range slots {
 		slots[i] = i%2 == 0
 	}
-	samples := slow.Transmit(rng, slots)
+	samples := slow.TransmitPCG(rand.NewPCG(5, 6), slots)
 
 	instant := slow
 	instant.LED.RiseSeconds, instant.LED.FallSeconds = 0, 0
-	rng2 := rand.New(rand.NewPCG(5, 6))
-	samplesInstant := instant.Transmit(rng2, slots)
+	samplesInstant := instant.TransmitPCG(rand.NewPCG(5, 6), slots)
 
 	// With alternating slots a slot-long slew turns the square wave into a
 	// triangle: the mean stays at 0.5 but the per-slot modulation depth
@@ -133,7 +130,7 @@ func endToEnd(t *testing.T, s scheme.Scheme, level float64, d float64, lux float
 	ch := channelAt(t, d, lux)
 	link := DefaultLink(ch)
 	link.StartPhase = 0.41
-	rng := rand.New(rand.NewPCG(77, uint64(level*1e6)))
+	pcg := rand.NewPCG(77, uint64(level*1e6))
 
 	codec, err := s.CodecFor(level)
 	if err != nil {
@@ -149,7 +146,7 @@ func endToEnd(t *testing.T, s scheme.Scheme, level float64, d float64, lux float
 		slots = append(slots, fs...)
 		slots = frame.AppendIdle(slots, codec.Level(), 137)
 	}
-	samples := link.Transmit(rng, slots)
+	samples := link.TransmitPCG(pcg, slots)
 	rx := NewReceiver(ch, s.Factory())
 	return rx.Process(samples)
 }
@@ -226,10 +223,9 @@ func TestEndToEndWorstCase36m(t *testing.T) {
 func TestReceiverIgnoresPureNoise(t *testing.T) {
 	ch := channelAt(t, 3, 8000)
 	link := DefaultLink(ch)
-	rng := rand.New(rand.NewPCG(123, 5))
 	// All-idle stream: no frames to find.
 	slots := frame.AppendIdle(nil, 0.5, 20000)
-	samples := link.Transmit(rng, slots)
+	samples := link.TransmitPCG(rand.NewPCG(123, 5), slots)
 	rx := NewReceiver(ch, amppmScheme(t).Factory())
 	results, stats := rx.Process(samples)
 	if len(results) != 0 {
@@ -284,9 +280,9 @@ func TestAmbientEstimation(t *testing.T) {
 				t.Fatal(err)
 			}
 			link := DefaultLink(ch)
-			rng := rand.New(rand.NewPCG(uint64(lux), uint64(level*100)))
-			link.StartPhase = rng.Float64()
-			samples := link.Transmit(rng, burst)
+			pcg := rand.NewPCG(uint64(lux), uint64(level*100))
+			link.StartPhase = rand.New(pcg).Float64()
+			samples := link.TransmitPCG(pcg, burst)
 			rx := NewReceiver(ch, s.Factory())
 			rx.Process(samples)
 			counts, ok := rx.AmbientWindowCounts()

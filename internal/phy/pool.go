@@ -8,7 +8,7 @@ import (
 )
 
 // The PHY recycles its large per-frame scratch slices — most importantly
-// the RX sample stream a Transmit produces — through sync.Pools. One
+// the RX sample stream a TransmitPCG produces — through sync.Pools. One
 // 0.25 s simulated point moves ~500k samples through the pipeline, and
 // without pooling every frame allocates fresh megabyte-class slices that
 // the GC must then chase.
@@ -39,10 +39,10 @@ func newSampleBuf(capacity int) []int {
 	return make([]int, 0, capacity)
 }
 
-// RecycleSamples returns a sample stream obtained from Link.Transmit to
+// RecycleSamples returns a sample stream obtained from Link.TransmitPCG to
 // the PHY's buffer pool. Callers that are done with the samples (after
 // Receiver.Process) should recycle them so steady-state simulation stops
-// allocating; passing a slice not obtained from Transmit is also fine.
+// allocating; passing a slice not obtained from TransmitPCG is also fine.
 // The caller must not touch the slice afterwards.
 func RecycleSamples(samples []int) {
 	if cap(samples) == 0 {
@@ -55,22 +55,6 @@ func RecycleSamples(samples []int) {
 	*p = samples[:0]
 	samplePool.Put(p)
 }
-
-// txPlanPool recycles the classification columns of the batched Transmit
-// (see batch.go); pooled as typed pointers for the same no-boxing reason.
-var txPlanPool sync.Pool // *txPlan
-
-func acquireTxPlan() *txPlan {
-	p, _ := txPlanPool.Get().(*txPlan)
-	if p == nil {
-		p = &txPlan{}
-	}
-	p.runs = p.runs[:0]
-	p.lambdas = p.lambdas[:0]
-	return p
-}
-
-func releaseTxPlan(p *txPlan) { txPlanPool.Put(p) }
 
 // receiverPool recycles Receivers together with their Batch columns, so
 // per-call paths like System.Deliver can run a fully warmed receiver

@@ -21,7 +21,7 @@ func TestProfSteadyStateZeroAllocs(t *testing.T) {
 	}
 	link, ch, factory := fuzzOperatingPoint(t)
 	slots := benchSlotsT(t, 0.5, 2, 200)
-	rng := rand.New(rand.NewPCG(5, 6))
+	pcg := rand.NewPCG(5, 6)
 
 	p := prof.New()
 	link.Prof = p.Stage("phy.tx", "amppm", "0.50", "")
@@ -29,15 +29,15 @@ func TestProfSteadyStateZeroAllocs(t *testing.T) {
 	rx.SetProf(p.Stage("phy.hunt", "amppm", "0.50", ""), p.Stage("phy.decode", "amppm", "0.50", ""))
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	link.StartPhase = rng.Float64()
-	samples := link.Transmit(rng, slots)
+	link.StartPhase = rand.New(pcg).Float64()
+	samples := link.TransmitPCG(pcg, slots)
 	if res, stats := rx.Process(samples); len(res) != 2 || stats.FramesOK != 2 {
 		t.Fatalf("warmup decode: %d frames (stats %+v)", len(res), stats)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		RecycleSamples(link.Transmit(rng, slots))
+		RecycleSamples(link.TransmitPCG(pcg, slots))
 	}); n != 0 {
-		t.Errorf("armed Transmit steady state: %v allocs/op", n)
+		t.Errorf("armed TransmitPCG steady state: %v allocs/op", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		rx.Process(samples)

@@ -16,7 +16,7 @@ import (
 // bit-identical Results and Stats on any stream). Keep them in sync with
 // nothing — they are the golden semantics.
 
-// referenceTransmit is the original Link.Transmit: per-segment slew
+// referenceTransmit is the original transmitter: per-segment slew
 // integration for every sample window, no settled-slot shortcut, no
 // cached samplers, no buffer pooling.
 func (l Link) referenceTransmit(rng *rand.Rand, slots []bool) []int {

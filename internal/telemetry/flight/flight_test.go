@@ -202,8 +202,7 @@ func TestReplayClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := phy.DefaultLink(ch)
-	rng := rand.New(rand.NewPCG(1, 2))
-	samples := link.Transmit(rng, slots)
+	samples := link.TransmitPCG(rand.NewPCG(1, 2), slots)
 	rx := phy.NewReceiver(ch, sch.Factory())
 
 	r, err := New(Config{Dir: t.TempDir()})
