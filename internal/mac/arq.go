@@ -3,6 +3,7 @@ package mac
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strconv"
 
@@ -134,8 +135,8 @@ func (s *Sender) Reset(window, payloadBytes int, timeout float64, rng *rand.Rand
 	if payloadBytes < 1 || payloadBytes > 65000 {
 		return fmt.Errorf("mac: payload %d bytes out of range", payloadBytes)
 	}
-	if timeout <= 0 {
-		return fmt.Errorf("mac: timeout %v must be positive", timeout)
+	if !(timeout > 0) || math.IsInf(timeout, 1) {
+		return fmt.Errorf("mac: timeout %v must be finite and positive", timeout)
 	}
 	s.Window = window
 	s.TimeoutSeconds = timeout

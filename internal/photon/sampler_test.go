@@ -1,7 +1,9 @@
 package photon
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -57,5 +59,66 @@ func TestSamplerLogFactFallback(t *testing.T) {
 		if got, want := s.Sample(rngB), Sample(rngA, lambda); got != want {
 			t.Fatalf("draw %d: Sampler=%d Sample=%d", i, got, want)
 		}
+	}
+}
+
+// samplerCacheLen reads the cache size under its lock.
+func samplerCacheLen() int {
+	samplerCacheMu.RLock()
+	defer samplerCacheMu.RUnlock()
+	return len(samplerCache)
+}
+
+// TestSamplerForBounded drives more distinct means through the cache
+// than it holds: the map never exceeds its cap, and a sampler handed out
+// before the clears still draws exactly what a fresh sampler for its
+// mean draws.
+func TestSamplerForBounded(t *testing.T) {
+	early := SamplerFor(12.3125)
+	for i := 0; i < 3*samplerCacheMax; i++ {
+		SamplerFor(20 + float64(i)/8)
+		if n := samplerCacheLen(); n > samplerCacheMax {
+			t.Fatalf("after %d inserts the cache holds %d samplers, cap %d", i+1, n, samplerCacheMax)
+		}
+	}
+	got := make([]int, 512)
+	want := make([]int, 512)
+	early.SampleNPCG(rand.NewPCG(4, 4), got)
+	NewSampler(12.3125).SampleNPCG(rand.NewPCG(4, 4), want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sampler from before the clears: draw %d is %d, fresh sampler %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSamplerForConcurrentClears has goroutines look up overlapping
+// streams of means, enough to clear the cache many times over; every
+// lookup must return a sampler for the mean asked. Run under -race it
+// checks the clear against concurrent readers.
+func TestSamplerForConcurrentClears(t *testing.T) {
+	const workers, lookups = 4, 2000
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < lookups; i++ {
+				lambda := 20 + float64((i*7+w*13)%(2*samplerCacheMax))/8
+				if s := SamplerFor(lambda); s.Lambda() != lambda {
+					errs <- fmt.Sprintf("asked %v, got a sampler for %v", lambda, s.Lambda())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := samplerCacheLen(); n > samplerCacheMax {
+		t.Errorf("cache holds %d samplers, cap %d", n, samplerCacheMax)
 	}
 }
