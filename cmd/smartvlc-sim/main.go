@@ -122,7 +122,7 @@ func main() {
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
+		defer shutdown(servePprof(*pprofAddr))
 	}
 
 	var sch smartvlc.Scheme
@@ -438,6 +438,7 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 	// current; the remaining report routes join the same mux after the run.
 	var liveAgg atomic.Pointer[smartvlc.FleetAggregator]
 	var liveMux *http.ServeMux
+	var live *http.Server
 	if out.watch && out.metricsAddr != "" {
 		liveMux = http.NewServeMux()
 		addFleetRoutes(liveMux, func() *smartvlc.FleetAggSnapshot {
@@ -451,8 +452,9 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 			fatal(err)
 		}
 		fmt.Printf("fleet watch : serving live on http://%s/fleet and /fleet/stream\n", ln.Addr())
+		live = newServer(out.metricsAddr, liveMux)
 		go func() {
-			if err := http.Serve(ln, liveMux); err != nil {
+			if err := live.Serve(ln); err != http.ErrServerClosed {
 				fatal(err)
 			}
 		}()
@@ -560,7 +562,11 @@ func runFleet(base smartvlc.SessionConfig, sch smartvlc.Scheme, n, workers, repe
 		// to it and keep serving.
 		addRoutes(liveMux, final)
 		fmt.Printf("metrics     : serving on http://%s/metrics (ctrl-c to stop)\n", out.metricsAddr)
-		select {}
+		ctx, stop := untilSignal()
+		defer stop()
+		<-ctx.Done()
+		shutdown(live)
+		return
 	}
 	if fl.Agg != nil {
 		snap := fl.Agg
@@ -656,10 +662,14 @@ func writeHealth(path string, snap *smartvlc.HealthSnapshot) error {
 	return os.WriteFile(path, out, 0o644)
 }
 
-// serve blocks, exposing the finished run's artifacts for scrapes —
-// useful for pointing a Prometheus/Grafana dev stack (or vlctop) at a
-// simulation.
+// serve blocks until SIGINT or SIGTERM, exposing the finished run's
+// artifacts for scrapes — useful for pointing a Prometheus/Grafana dev
+// stack (or vlctop) at a simulation — and then shuts the server down.
 func serve(addr string, o serveOpts) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("metrics     : serving on http://%s/metrics (ctrl-c to stop)\n", addr)
 	if o.health != nil {
 		fmt.Printf("health      : http://%s/health and /health/stream\n", addr)
@@ -670,7 +680,9 @@ func serve(addr string, o serveOpts) {
 	if o.agg != nil {
 		fmt.Printf("fleet       : http://%s/fleet and /fleet/stream\n", addr)
 	}
-	if err := http.ListenAndServe(addr, buildMux(o)); err != nil {
+	ctx, stop := untilSignal()
+	defer stop()
+	if err := serveUntil(ctx, newServer(addr, buildMux(o)), ln); err != nil {
 		fatal(err)
 	}
 }

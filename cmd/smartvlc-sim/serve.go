@@ -1,15 +1,78 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"runtime/metrics"
+	"syscall"
+	"time"
 
 	"smartvlc"
 )
+
+// Timeouts of every server the command runs. A client gets
+// readHeaderTimeout to send its request headers and readTimeout for the
+// whole request, and an idle keep-alive connection is closed after
+// idleTimeout. There is no write timeout: /health/stream, /logs/stream
+// and /fleet/stream stream for as long as the client reads, and pprof's
+// profile and trace hold their response for the sampling window.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// shutdownTimeout bounds a graceful shutdown: connections still
+	// open after it, such as streams a client keeps reading, are cut.
+	shutdownTimeout = 5 * time.Second
+)
+
+// newServer returns a server for handler on addr with the timeouts above.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serveUntil serves srv on ln until ctx is done and then shuts it down.
+// It returns nil after the shutdown, and Serve's error if serving stops
+// on its own first.
+func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	shutdown(srv)
+	<-served // http.ErrServerClosed once the shutdown has begun
+	return nil
+}
+
+// shutdown stops srv gracefully within shutdownTimeout, then closes the
+// connections still open.
+func shutdown(srv *http.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if srv.Shutdown(ctx) != nil {
+		srv.Close()
+	}
+}
+
+// untilSignal returns a context that is done on SIGINT or SIGTERM, and
+// the function that stops listening for them.
+func untilSignal() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
 
 // serveOpts is everything the HTTP endpoints can expose after a run.
 // Routes are registered only for the artifacts actually present, so the
@@ -307,12 +370,15 @@ func pprofMux() *http.ServeMux {
 }
 
 // servePprof serves the profiling endpoints on their own address in the
-// background, for profiling long fleet runs or the serving process.
-func servePprof(addr string) {
+// background, for profiling long fleet runs or the serving process, and
+// returns the server for the caller to shut down.
+func servePprof(addr string) *http.Server {
+	srv := newServer(addr, pprofMux())
 	go func() {
-		if err := http.ListenAndServe(addr, pprofMux()); err != nil {
+		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "smartvlc-sim: pprof:", err)
 		}
 	}()
 	fmt.Printf("pprof       : serving on http://%s/debug/pprof/\n", addr)
+	return srv
 }

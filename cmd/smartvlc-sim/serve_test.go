@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"smartvlc"
 )
@@ -243,4 +246,53 @@ func truncate(s string) string {
 		return s[:400] + "…"
 	}
 	return s
+}
+
+// TestServeTimeoutsAndShutdown checks the server serve builds: it bounds
+// request headers, whole requests and idle connections but sets no write
+// timeout (the stream routes write for as long as the client reads), and
+// cancelling the context serveUntil serves under shuts it down and
+// returns with no error.
+func TestServeTimeoutsAndShutdown(t *testing.T) {
+	srv := newServer("127.0.0.1:0", buildMux(fullOpts(t)))
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout ||
+		srv.IdleTimeout != idleTimeout || srv.WriteTimeout != 0 {
+		t.Errorf("timeouts: header %v, read %v, idle %v, write %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.WriteTimeout)
+	}
+	if readHeaderTimeout <= 0 || readTimeout <= 0 || idleTimeout <= 0 {
+		t.Error("a zero timeout disables it")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- serveUntil(ctx, srv, ln) }()
+	url := "http://" + ln.Addr().String() + "/metrics"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serveUntil after cancel: %v", err)
+		}
+	case <-time.After(shutdownTimeout + 5*time.Second):
+		t.Fatal("serveUntil did not return after cancel")
+	}
+	if resp, err := http.Get(url); err == nil {
+		resp.Body.Close()
+		t.Error("server still answering after shutdown")
+	}
 }

@@ -45,13 +45,18 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	if r.Remaining() < n {
 		return 0, ErrShortRead
 	}
+	// Move one byte fragment per step: the rest of the current byte, or
+	// the n bits still wanted if fewer.
 	var v uint64
-	for i := 0; i < n; i++ {
-		byteIdx := r.pos / 8
-		bit := r.data[byteIdx] >> (7 - uint(r.pos%8)) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+	pos := r.pos
+	for n > 0 {
+		off := pos & 7
+		take := min(8-off, n)
+		v = v<<take | uint64(r.data[pos>>3]<<off>>(8-take))
+		pos += take
+		n -= take
 	}
+	r.pos = pos
 	return v, nil
 }
 
@@ -101,15 +106,18 @@ func (w *Writer) WriteBits(v uint64, n int) error {
 	if n < 0 || n > 64 {
 		return fmt.Errorf("bitio: invalid write size %d", n)
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := byte(v >> uint(i) & 1)
-		if w.n%8 == 0 {
+	// Move one byte fragment per step: as many of the leading bits still
+	// to write as fit in the current byte. A fresh byte is appended as
+	// zero, which also clears a recycled buffer's old contents.
+	for n > 0 {
+		off := w.n & 7
+		if off == 0 {
 			w.data = append(w.data, 0)
 		}
-		if bit == 1 {
-			w.data[w.n/8] |= 1 << (7 - uint(w.n%8))
-		}
-		w.n++
+		take := min(8-off, n)
+		n -= take
+		w.data[len(w.data)-1] |= byte(v>>n) & (1<<take - 1) << (8 - off - take)
+		w.n += take
 	}
 	return nil
 }

@@ -147,3 +147,90 @@ func TestBytesPadding(t *testing.T) {
 		t.Fatalf("Bytes = %x", w.Bytes())
 	}
 }
+
+// bitAt is the per-bit oracle: bit i (MSB-first) of v's low n bits.
+func bitAt(v uint64, n, i int) byte { return byte(v >> uint(n-1-i) & 1) }
+
+// packBits packs one-bit entries MSB-first, zero-padding the last byte.
+func packBits(bits []byte) []byte {
+	out := make([]byte, (len(bits)+7)/8)
+	for i, b := range bits {
+		out[i/8] |= b << (7 - uint(i%8))
+	}
+	return out
+}
+
+// TestWordIOMatchesPerBit drives the fragment-moving WriteBits, ReadBits
+// and ReadPadded with random sequences of sizes 0..64 and checks every
+// result against a stream kept one bit at a time. Each round writes into
+// a recycled buffer refilled with garbage through Reset, reads back
+// over the whole stream or a prefix of it, and ends with reads past its
+// end.
+func TestWordIOMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 12))
+	w := NewWriter()
+	recycled := make([]byte, 0, 160)
+	for round := 0; round < 5000; round++ {
+		buf := recycled[:cap(recycled)]
+		for i := range buf {
+			buf[i] = byte(rng.Uint32())
+		}
+		w.Reset(buf[:rng.IntN(8)])
+		var bits []byte
+		for op := rng.IntN(20); op > 0; op-- {
+			n, v := rng.IntN(65), rng.Uint64()
+			if err := w.WriteBits(v, n); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				bits = append(bits, bitAt(v, n, i))
+			}
+		}
+		if w.Len() != len(bits) || !bytes.Equal(w.Bytes(), packBits(bits)) {
+			t.Fatalf("round %d: wrote %d bits %x, per-bit %d bits %x", round, w.Len(), w.Bytes(), len(bits), packBits(bits))
+		}
+
+		nbits := len(bits)
+		if rng.IntN(2) == 0 {
+			nbits = rng.IntN(nbits + 1)
+		}
+		r := NewReaderBits(w.Bytes(), nbits)
+		for pos := 0; pos < nbits; {
+			n := rng.IntN(65)
+			var want uint64
+			for i := 0; i < n; i++ {
+				want <<= 1
+				if pos+i < nbits {
+					want |= uint64(bits[pos+i])
+				}
+			}
+			avail := min(n, nbits-pos)
+			if rng.IntN(2) == 0 {
+				got, err := r.ReadBits(n)
+				if n > nbits-pos {
+					if err != ErrShortRead || r.Remaining() != nbits-pos {
+						t.Fatalf("round %d: ReadBits(%d) with %d left: %v, %d left after", round, n, nbits-pos, err, r.Remaining())
+					}
+					continue
+				}
+				if err != nil || got != want {
+					t.Fatalf("round %d: ReadBits(%d) at %d = %x, %v; per-bit %x", round, n, pos, got, err, want)
+				}
+			} else {
+				got, consumed, err := r.ReadPadded(n)
+				if err != nil || got != want || consumed != avail {
+					t.Fatalf("round %d: ReadPadded(%d) at %d = %x, %d, %v; per-bit %x, %d", round, n, pos, got, consumed, err, want, avail)
+				}
+			}
+			pos += avail
+		}
+		n := 1 + rng.IntN(64)
+		if v, consumed, err := r.ReadPadded(n); v != 0 || consumed != 0 || err != nil {
+			t.Fatalf("round %d: ReadPadded(%d) at the end = %x, %d, %v", round, n, v, consumed, err)
+		}
+		if _, err := r.ReadBits(n); err != ErrShortRead {
+			t.Fatalf("round %d: ReadBits(%d) at the end: %v", round, n, err)
+		}
+		recycled = w.Bytes()[:0]
+	}
+}

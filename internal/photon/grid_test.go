@@ -10,10 +10,10 @@ import (
 	"smartvlc/internal/optics"
 )
 
-// gridTableBytes is a table's heap footprint: the struct plus both
-// columns.
+// gridTableBytes is a table's heap footprint: the struct plus the
+// integer CDF and the guide cells.
 func gridTableBytes(t *gridTable) int {
-	return int(unsafe.Sizeof(*t)) + 8*cap(t.cdf) + 2*cap(t.guide)
+	return int(unsafe.Sizeof(*t)) + 8*cap(t.tab.icdf) + 2*cap(t.tab.cells)
 }
 
 // quantile is the exact inverse CDF of Pois(mu) at u by summation from
@@ -31,14 +31,16 @@ func quantile(mu, u float64) int {
 // TestGridTableInverts checks the table draw, including both trimmed
 // tails, against the exact quantile function. The hard trim puts the
 // table edges within a few standard deviations of the mean so the
-// uniforms below sweep the tail walks on both sides.
+// uniforms below sweep the tail walks on both sides. Each uniform is
+// rounded down to the 53-bit grid the draws take.
 func TestGridTableInverts(t *testing.T) {
 	us := []float64{0, 1e-300, 1e-17, 1e-12, 1e-6, 0.01, 0.2, 0.5, 0.77, 0.99, 1 - 1e-6, 1 - 1e-12}
 	for _, mu := range []float64{1, 2, 7, 30, 255} {
 		for _, trim := range []float64{gridTrim, 0.02} {
 			tab := newGridTable(mu, trim)
 			for _, u := range us {
-				if got, want := tab.draw(u), quantile(mu, u); got != want {
+				x := uint64(u * (1 << 53))
+				if got, want := tab.draw(x), quantile(mu, float64(x)/(1<<53)); got != want {
 					t.Errorf("mu %v trim %v u %v: draw %d, quantile %d", mu, trim, u, got, want)
 				}
 			}

@@ -88,26 +88,22 @@ func samplePTRSPCG(p *rand.PCG, lambda float64) int {
 // sampler's mean, so the per-call dispatch, constant loads, and (for
 // tabled means) the entire rejection machinery are amortized over the
 // run. Means within maxTableLambda draw by inverted CDF — one uniform
-// each, the quantile tableDraw(u) — and so consume the stream
-// differently from Sample; larger means fall back to the PTRS loop,
-// which matches Sample draw for draw.
+// each, the quantile tableDraw of its 53-bit integer — and so consume
+// the stream differently from SamplePCG; larger means fall back to the
+// PTRS loop, which matches SamplePCG draw for draw.
 func (s *Sampler) SampleNPCG(p *rand.PCG, dst []int) {
 	switch {
 	case s.lambda <= 0:
 		for i := range dst {
 			dst[i] = 0
 		}
-	case s.cdf != nil:
-		cdf, guide, m := s.cdf, s.guide, float64(len(s.guide))
+	case s.tab.icdf != nil:
+		tab := &s.tab
 		for i := range dst {
-			u := float64(p.Uint64()<<11>>11) / (1 << 53)
-			k := int(guide[int(u*m)])
-			for u >= cdf[k] {
-				k++
-				if k == len(cdf) {
-					k = s.tailDraw(u)
-					break
-				}
+			x := p.Uint64() << 11 >> 11
+			k := tab.index(x)
+			if k == len(tab.icdf) {
+				k = s.tailDraw(float64(x) / (1 << 53))
 			}
 			dst[i] = k
 		}

@@ -125,9 +125,9 @@ func samplePTRS(rng *rand.Rand, lambda float64) int {
 	// The acceptance inequality is evaluated in its exponentiated form,
 	//   v·α/(a/us² + b) ≤ exp(k·lnλ − λ − ln k!),
 	// whose right side depends only on k — which is what lets Sampler
-	// pretabulate it and skip the log and Lgamma entirely. Sample and
-	// Sampler must keep using the identical expression so their draws
-	// stay bit-for-bit in lockstep.
+	// pretabulate it and skip the log and Lgamma entirely. Sample, its
+	// PCG twin and Sampler's PTRS fallback must keep using the identical
+	// expression so their draws stay bit-for-bit in lockstep.
 	logLambda := 0.0
 	haveLog := false
 	for {

@@ -2,38 +2,11 @@ package photon
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
 )
-
-// TestSamplerMatchesSample locks the Sampler fast path to the reference
-// Sample: for any mean, both must consume the rng identically and return
-// bit-identical variate sequences. This is what lets the transmitter's
-// settled-slot fast path swap one in without perturbing a seeded session.
-func TestSamplerMatchesSample(t *testing.T) {
-	lambdas := []float64{0, -3, 0.05, 0.7, 3.2, 9.999, 10, 25.5, 120, 4096.25, 85000}
-	const draws = 2000
-	for _, lambda := range lambdas {
-		s := NewSampler(lambda)
-		if s.Lambda() != lambda {
-			t.Fatalf("Lambda() = %v, want %v", s.Lambda(), lambda)
-		}
-		rngA := rand.New(rand.NewPCG(42, 7))
-		rngB := rand.New(rand.NewPCG(42, 7))
-		for i := 0; i < draws; i++ {
-			want := Sample(rngA, lambda)
-			got := s.Sample(rngB)
-			if got != want {
-				t.Fatalf("lambda=%v draw %d: Sampler=%d Sample=%d", lambda, i, got, want)
-			}
-		}
-		// The rng streams must stay in lockstep too.
-		if a, b := rngA.Uint64(), rngB.Uint64(); a != b {
-			t.Fatalf("lambda=%v: rng streams diverged (%d vs %d)", lambda, a, b)
-		}
-	}
-}
 
 // TestSamplerForShares checks the memo returns one shared instance per mean.
 func TestSamplerForShares(t *testing.T) {
@@ -47,18 +20,42 @@ func TestSamplerForShares(t *testing.T) {
 	}
 }
 
-// TestSamplerLogFactFallback exercises candidates beyond the precomputed
-// log-factorial table (tiny table via a mean just over the PTRS cutoff,
-// forced far tail through many draws).
+// TestSamplerLogFactFallback covers the PTRS fallback past the end of
+// its accept table, where the bound is recomputed by acceptAt with ln k!
+// beyond the log-factorial table. At a mean just above maxTableLambda it
+// finds the first seed whose opening candidate lands past the table and
+// survives the squeeze rejection, and checks the block fill against
+// SamplePCG over a twin generator for that draw and the ones after.
 func TestSamplerLogFactFallback(t *testing.T) {
-	const lambda = 10.0
+	const lambda = maxTableLambda + 0.5
 	s := NewSampler(lambda)
-	rngA := rand.New(rand.NewPCG(9, 9))
-	rngB := rand.New(rand.NewPCG(9, 9))
-	for i := 0; i < 50000; i++ {
-		if got, want := s.Sample(rngB), Sample(rngA, lambda); got != want {
-			t.Fatalf("draw %d: Sampler=%d Sample=%d", i, got, want)
+	if len(s.accept) == 0 {
+		t.Fatal("no accept table above maxTableLambda")
+	}
+	seed := uint64(0)
+	for ; ; seed++ {
+		p := rand.NewPCG(seed, 1)
+		u := PCGFloat64(p) - 0.5
+		v := PCGFloat64(p)
+		us := 0.5 - math.Abs(u)
+		kf := math.Floor((2*s.a/us+s.b)*u + lambda + 0.43)
+		if !(us >= 0.07 && v <= s.vr) && !(us < 0.013 && v > us) && kf >= float64(len(s.accept)) {
+			break
 		}
+	}
+	if float64(len(s.accept)) <= lnFactTableN {
+		t.Fatalf("accept table of %d entries ends inside the ln k! table", len(s.accept))
+	}
+	pcg, twin := rand.NewPCG(seed, 1), rand.NewPCG(seed, 1)
+	got := make([]int, 64)
+	s.SampleNPCG(pcg, got)
+	for i, k := range got {
+		if want := SamplePCG(twin, lambda); k != want {
+			t.Fatalf("seed %d draw %d: SampleNPCG %d, SamplePCG %d", seed, i, k, want)
+		}
+	}
+	if a, b := pcg.Uint64(), twin.Uint64(); a != b {
+		t.Fatalf("seed %d: streams diverged (%d vs %d)", seed, a, b)
 	}
 }
 

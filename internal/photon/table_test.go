@@ -13,82 +13,89 @@ var tableLambdas = []float64{0.05, 0.5, 3, 9.9, 10, 47.3, 800, 4096}
 
 // TestTableCDFNormalized pins the construction invariants of the
 // inverse-CDF table: the CDF reaches 1 within float rounding (the
-// mode-outward PMF recurrence must not lose mass), and the guide is
-// monotone with every entry a valid scan start (guide[j] ≤ answer for
-// any u in cell j).
+// mode-outward PMF recurrence must not lose mass), the guide's scan
+// starts are monotone and never past the answer of their cell's lowest
+// x, and a determined cell inverts its whole range to its answer. Only
+// means above the table get PTRS constants.
 func TestTableCDFNormalized(t *testing.T) {
 	for _, lambda := range tableLambdas {
 		s := NewSampler(lambda)
-		if s.cdf == nil {
-			t.Fatalf("lambda %v: no table", lambda)
+		tab := &s.tab
+		if tab.icdf == nil || s.accept != nil {
+			t.Fatalf("lambda %v: table %v, accept table %v", lambda, tab.icdf != nil, s.accept != nil)
 		}
-		if last := s.cdf[len(s.cdf)-1]; math.Abs(last-1) > 1e-9 {
+		if last := float64(tab.icdf[len(tab.icdf)-1]) / (1 << 53); math.Abs(last-1) > 1e-9 {
 			t.Errorf("lambda %v: cdf tail %v", lambda, last)
 		}
-		m := len(s.guide)
-		for j, g := range s.guide {
-			if j > 0 && g < s.guide[j-1] {
+		prev := 0
+		for j, c := range tab.cells {
+			i := int(c >> 1)
+			if i < prev {
 				t.Fatalf("lambda %v: guide not monotone at %d", lambda, j)
 			}
-			// guide[j] must not overshoot: cdf[guide[j]-1] <= j/m, so a
-			// draw u >= j/m can never have its answer below guide[j].
-			if g > 0 && s.cdf[g-1] > float64(j)/float64(m)+1e-15 {
-				t.Fatalf("lambda %v: guide[%d]=%d overshoots", lambda, j, g)
+			prev = i
+			lo := uint64(j) << tab.shift
+			if i > 0 && tab.icdf[i-1] > lo {
+				t.Fatalf("lambda %v: cell %d starts at %d, past its answer", lambda, j, i)
+			}
+			if hi := lo | (1<<tab.shift - 1); c&1 == 0 && hi >= tab.icdf[i] {
+				t.Fatalf("lambda %v: determined cell %d does not invert to %d throughout", lambda, j, i)
 			}
 		}
 	}
-	if s := NewSampler(maxTableLambda + 1); s.cdf != nil {
-		t.Error("table built above maxTableLambda")
+	if s := NewSampler(maxTableLambda + 1); s.tab.icdf != nil || s.accept == nil {
+		t.Error("table built, or PTRS constants missing, above maxTableLambda")
 	}
-	if s := NewSampler(0); s.cdf != nil {
+	if s := NewSampler(0); s.tab.icdf != nil || s.accept != nil {
 		t.Error("table built for non-positive mean")
 	}
 }
 
 // TestTableDrawInverts checks tableDraw against the definition of the
-// quantile function on a grid of uniforms, including cell boundaries.
+// quantile function on a grid of uniforms' integers, including cell
+// boundaries.
 func TestTableDrawInverts(t *testing.T) {
 	for _, lambda := range tableLambdas {
 		s := NewSampler(lambda)
-		m := len(s.guide)
-		us := []float64{0, 1e-18, 0.25, 0.5, 0.75, 1 - 1e-9, 1 - 1e-16}
+		icdf := s.tab.icdf
+		m := len(s.tab.cells)
+		xs := []uint64{0, 1, 1 << 51, 1 << 52, 3 << 51, 1<<53 - 1<<20, 1<<53 - 2}
 		for j := 0; j < m; j += m/17 + 1 {
-			us = append(us, float64(j)/float64(m))
+			xs = append(xs, uint64(j)<<s.tab.shift)
 		}
-		for _, u := range us {
-			got := s.tableDraw(u)
-			if u >= s.cdf[len(s.cdf)-1] {
+		for _, x := range xs {
+			got := s.tableDraw(x)
+			if x >= icdf[len(icdf)-1] {
 				// Beyond the table the draw continues into the tail;
 				// TestTailDraw covers that path — here it only must not
 				// come back inside the table.
-				if got < len(s.cdf)-1 {
-					t.Fatalf("lambda %v u=%v: tail draw %d inside table", lambda, u, got)
+				if got < len(icdf)-1 {
+					t.Fatalf("lambda %v x=%d: tail draw %d inside table", lambda, x, got)
 				}
 				continue
 			}
 			want := 0
-			for u >= s.cdf[want] {
+			for x >= icdf[want] {
 				want++
 			}
 			if got != want {
-				t.Fatalf("lambda %v u=%v: got %d want %d", lambda, u, got, want)
+				t.Fatalf("lambda %v x=%d: got %d want %d", lambda, x, got, want)
 			}
 		}
 	}
 }
 
 // TestTailDraw drives the continuation beyond the table edge directly:
-// for u above cdf[n-1] (unreachable from real uniforms at these means,
-// but the code must still be right) the result extends past the table
-// and increases with u.
+// for u above the last CDF entry (unreachable from real uniforms at
+// these means, but the code must still be right) the result extends
+// past the table and increases with u.
 func TestTailDraw(t *testing.T) {
 	s := NewSampler(6)
-	n := len(s.cdf)
+	n := len(s.tab.icdf)
 	prev := 0
 	for _, eps := range []float64{1e-12, 1e-14, 1e-16} {
-		u := math.Nextafter(s.cdf[n-1], 2) + eps*0 // just past the edge
-		u = 1 - eps
-		if u < s.cdf[n-1] {
+		u := 1 - eps
+		if u < s.tab.cHi {
 			continue
 		}
 		k := s.tailDraw(u)
@@ -104,9 +111,9 @@ func TestTailDraw(t *testing.T) {
 
 // TestBlockFillTwinsLockstep pins the block fill SampleNPCG to its
 // scalar twins over identically seeded generators: on tabled means each
-// variate is the quantile tableDraw of the next PCG uniform; on the zero
-// path and beyond the table (PTRS fallback) the fill matches Sampler.Sample
-// over a Rand view draw for draw.
+// variate is the quantile tableDraw of the next PCG integer; on the zero
+// path and beyond the table (PTRS fallback) the fill matches SamplePCG
+// draw for draw.
 func TestBlockFillTwinsLockstep(t *testing.T) {
 	lambdas := append([]float64{}, tableLambdas...)
 	lambdas = append(lambdas, 0, -2, 9000) // zero path and PTRS fallback
@@ -114,19 +121,21 @@ func TestBlockFillTwinsLockstep(t *testing.T) {
 		s := NewSampler(lambda)
 		pcg := rand.NewPCG(11, 22)
 		twin := rand.NewPCG(11, 22)
-		rng := rand.New(twin)
 		got := make([]int, 4096)
 		s.SampleNPCG(pcg, got)
 		for i, k := range got {
 			var want int
-			if s.cdf != nil {
-				want = s.tableDraw(PCGFloat64(twin))
+			if s.tab.icdf != nil {
+				want = s.tableDraw(twin.Uint64() << 11 >> 11)
 			} else {
-				want = s.Sample(rng)
+				want = SamplePCG(twin, lambda)
 			}
 			if k != want {
 				t.Fatalf("lambda %v: twins diverge at %d: %d vs %d", lambda, i, k, want)
 			}
+		}
+		if a, b := pcg.Uint64(), twin.Uint64(); a != b {
+			t.Fatalf("lambda %v: streams diverged (%d vs %d)", lambda, a, b)
 		}
 	}
 }
@@ -160,7 +169,7 @@ func trimmedFill(mu, trim float64) distCase {
 	t := newGridTable(mu, trim)
 	return distCase{"trimmed-table", mu, func(p *rand.PCG, dst []int) {
 		for i := range dst {
-			dst[i] = t.draw(PCGFloat64(p))
+			dst[i] = t.draw(p.Uint64() << 11 >> 11)
 		}
 	}}
 }
