@@ -59,10 +59,15 @@ func Aligned(d, angleDeg float64) Geometry {
 	return Geometry{DistanceM: d, IrradianceDeg: angleDeg, IncidenceDeg: angleDeg}
 }
 
-// Validate reports obviously broken parameters.
+// Validate reports obviously broken parameters: a distance that is not
+// positive and finite, or a non-finite angle.
 func (g Geometry) Validate() error {
-	if g.DistanceM <= 0 {
-		return fmt.Errorf("optics: distance %v must be positive", g.DistanceM)
+	if !(g.DistanceM > 0) || math.IsInf(g.DistanceM, 1) {
+		return fmt.Errorf("optics: distance %v must be positive and finite", g.DistanceM)
+	}
+	if math.IsNaN(g.IrradianceDeg) || math.IsInf(g.IrradianceDeg, 0) ||
+		math.IsNaN(g.IncidenceDeg) || math.IsInf(g.IncidenceDeg, 0) {
+		return fmt.Errorf("optics: angles %v° and %v° must be finite", g.IrradianceDeg, g.IncidenceDeg)
 	}
 	return nil
 }

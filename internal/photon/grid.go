@@ -61,16 +61,17 @@ func buildGridCell(g int) *gridTable {
 // newGridTable builds the table for a positive mean, with four guide
 // cells per support point or more.
 func newGridTable(mu, trim float64) *gridTable {
-	lo, below, pHi, cdf := gridCDF(mu, trim)
-	return &gridTable{mu: mu, lo: lo, pHi: pHi, tab: newInvCDF(cdf, below, 4*len(cdf))}
+	lo, below, pHi, pmf := gridPMF(mu, trim)
+	return &gridTable{mu: mu, lo: lo, pHi: pHi, tab: newInvCDF(pmf, below, 4*len(pmf))}
 }
 
-// gridCDF returns the float CDF a grid table is built from: cdf[i] =
-// P(X ≤ lo+i) over the support where the PMF is at least trim, below =
-// P(X < lo) and pHi the point mass at the last entry. The PMF is grown
-// outward from the mode by the two-term recurrence (as in samplerCDF),
-// stopping on each side where it falls below trim.
-func gridCDF(mu, trim float64) (lo int, below, pHi float64, cdf []float64) {
+// gridPMF returns the point masses a grid table is built from, as
+// float64 bits (see newInvCDF): pmf[i] = P(X = lo+i) over the support
+// where the PMF is at least trim, below = P(X < lo) and pHi the point
+// mass at the last entry. The PMF is grown outward from the mode by the
+// two-term recurrence (as in samplerPMF), stopping on each side where it
+// falls below trim.
+func gridPMF(mu, trim float64) (lo int, below, pHi float64, pmf []uint64) {
 	mode := int(mu)
 	pm := math.Exp(float64(mode)*math.Log(mu) - mu - lnFact(float64(mode)))
 	hi := mode
@@ -85,25 +86,24 @@ func gridCDF(mu, trim float64) (lo int, below, pHi float64, cdf []float64) {
 			break
 		}
 	}
-	cdf = make([]float64, hi-lo+1) // filled with point masses, then summed in place
-	cdf[mode-lo] = pm
+	pmf = make([]uint64, hi-lo+1)
+	pmf[mode-lo] = math.Float64bits(pm)
+	p := pm
 	for k := mode; k < hi; k++ {
-		cdf[k+1-lo] = cdf[k-lo] * mu / float64(k+1)
+		p = p * mu / float64(k+1)
+		pmf[k+1-lo] = math.Float64bits(p)
 	}
+	pHi = p
+	p = pm
 	for k := mode; k > lo; k-- {
-		cdf[k-1-lo] = cdf[k-lo] * float64(k) / mu
+		p = p * float64(k) / mu
+		pmf[k-1-lo] = math.Float64bits(p)
 	}
-	pHi = cdf[len(cdf)-1]
-	for k, p := lo, cdf[0]; k > 0 && p > 0; k-- {
+	for k := lo; k > 0 && p > 0; k-- { // p holds P(X = lo) here
 		p *= float64(k) / mu
 		below += p
 	}
-	c := below
-	for i, p := range cdf {
-		c += p
-		cdf[i] = c
-	}
-	return lo, below, pHi, cdf
+	return lo, below, pHi, pmf
 }
 
 // draw maps the 53-bit integer x of one uniform onto Pois(mu): the

@@ -26,45 +26,54 @@ type invCDF struct {
 	cHi   float64  // cdf of the last point, where the right-tail walks start
 }
 
-// newInvCDF builds the table over the float CDF cdf, where cdf[i] is
-// P(X ≤ the table's point i) for consecutive points, and below is the
-// probability mass left of the first point, with at least minCells guide
-// cells.
-func newInvCDF(cdf []float64, below float64, minCells int) invCDF {
-	n := len(cdf)
+// newInvCDF builds the table over consecutive points with at least
+// minCells guide cells. pmf[i] holds the float64 bits of point i's mass
+// and below is the mass left of the first point; the running sum
+// cdf[i] = below + pmf[0] + … + pmf[i], accumulated in that order, is
+// the float CDF the table inverts. newInvCDF turns pmf into the icdf
+// column in place and keeps it, so the float CDF is never stored.
+//
+// The guide is filled in one pass over the points. The cells whose
+// lowest x lies in [icdf[i−1], icdf[i]) all start at point i: every
+// one of them but the last ends below icdf[i] and is determined, and
+// the last is determined only if icdf[i] starts the next cell. Cells
+// left of below stay scan starts, since their x may fall off the table.
+func newInvCDF(pmf []uint64, below float64, minCells int) invCDF {
+	n := len(pmf)
 	if n == 0 || n >= 1<<15 {
 		panic("photon: inverse-CDF table size out of range")
 	}
-	t := invCDF{
-		icdf:  make([]uint64, n),
-		below: uint64(math.Ceil(below * (1 << 53))),
-		cHi:   cdf[n-1],
-	}
-	for i, c := range cdf {
+	t := invCDF{icdf: pmf, below: uint64(math.Ceil(below * (1 << 53)))}
+	c := below
+	for i, p := range pmf {
+		c += math.Float64frombits(p)
 		t.icdf[i] = uint64(math.Ceil(c * (1 << 53)))
 	}
+	t.cHi = c
 	bits := 0
 	for 1<<bits < minCells {
 		bits++
 	}
 	t.shift = uint(53 - bits)
 	t.cells = make([]uint16, 1<<bits)
-	i := 0 // answer of the cell's lowest x: the smallest i with x < icdf[i]
-	for j := range t.cells {
-		lo := uint64(j) << t.shift
-		hi := lo | (1<<t.shift - 1)
-		for i < n && lo >= t.icdf[i] {
-			i++
+	j := 0 // the first cell not yet filled
+	for i, v := range t.icdf {
+		if v == 0 {
+			continue
 		}
-		h := i // answer of the cell's highest x
-		for h < n && hi >= t.icdf[h] {
-			h++
+		// Cells up to the one holding x = v−1 start at point i.
+		end := min(int((v-1)>>t.shift)+1, len(t.cells))
+		for ; j < end; j++ {
+			lo := uint64(j) << t.shift
+			if hi := lo | (1<<t.shift - 1); hi < v && lo >= t.below {
+				t.cells[j] = uint16(i << 1)
+			} else {
+				t.cells[j] = uint16(i<<1 | 1)
+			}
 		}
-		if h == i && i < n && lo >= t.below {
-			t.cells[j] = uint16(i << 1)
-		} else {
-			t.cells[j] = uint16(i<<1 | 1)
-		}
+	}
+	for ; j < len(t.cells); j++ {
+		t.cells[j] = uint16(n<<1 | 1) // past the table: the tail walk
 	}
 	return t
 }

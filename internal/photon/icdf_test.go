@@ -21,9 +21,23 @@ type floatInverse struct {
 	right func(u float64) int
 }
 
+// floatCDF accumulates point masses held as float64 bits into the float
+// CDF newInvCDF inverts: cdf[i] = below + pmf[0] + … + pmf[i], summed in
+// that order.
+func floatCDF(pmf []uint64, below float64) []float64 {
+	cdf := make([]float64, len(pmf))
+	c := below
+	for i, p := range pmf {
+		c += math.Float64frombits(p)
+		cdf[i] = c
+	}
+	return cdf
+}
+
 // samplerOracle is the float inversion of a rail sampler at lambda.
 func samplerOracle(lambda float64) floatInverse {
-	cdf, lastPMF := samplerCDF(lambda)
+	pmf, lastPMF := samplerPMF(lambda)
+	cdf := floatCDF(pmf, 0)
 	return floatInverse{cdf: cdf, right: func(u float64) int {
 		k := len(cdf) - 1
 		c, p := cdf[k], lastPMF
@@ -41,7 +55,8 @@ func samplerOracle(lambda float64) floatInverse {
 
 // gridOracle is the float inversion of a grid table at mu.
 func gridOracle(mu, trim float64) floatInverse {
-	lo, below, pHi, cdf := gridCDF(mu, trim)
+	lo, below, pHi, pmf := gridPMF(mu, trim)
+	cdf := floatCDF(pmf, below)
 	return floatInverse{cdf: cdf, lo: lo, below: below,
 		left: func(u float64) int {
 			p := math.Exp(-mu)
@@ -161,6 +176,121 @@ func TestInvCDFMatchesFloatScan(t *testing.T) {
 			check(&sw, i*stride+p.Uint64()%stride, "random")
 		}
 		check(&sw, 1<<53-1, "random")
+	}
+}
+
+// twoScanInvCDF is the reference for newInvCDF's guide: the builder it
+// replaced, which found each cell's lowest and highest x's answers by
+// scanning the icdf column from the previous cell's answer.
+func twoScanInvCDF(cdf []float64, below float64, minCells int) invCDF {
+	n := len(cdf)
+	t := invCDF{
+		icdf:  make([]uint64, n),
+		below: uint64(math.Ceil(below * (1 << 53))),
+		cHi:   cdf[n-1],
+	}
+	for i, c := range cdf {
+		t.icdf[i] = uint64(math.Ceil(c * (1 << 53)))
+	}
+	bits := 0
+	for 1<<bits < minCells {
+		bits++
+	}
+	t.shift = uint(53 - bits)
+	t.cells = make([]uint16, 1<<bits)
+	i := 0 // answer of the cell's lowest x: the smallest i with x < icdf[i]
+	for j := range t.cells {
+		lo := uint64(j) << t.shift
+		hi := lo | (1<<t.shift - 1)
+		for i < n && lo >= t.icdf[i] {
+			i++
+		}
+		h := i // answer of the cell's highest x
+		for h < n && hi >= t.icdf[h] {
+			h++
+		}
+		if h == i && i < n && lo >= t.below {
+			t.cells[j] = uint16(i << 1)
+		} else {
+			t.cells[j] = uint16(i<<1 | 1)
+		}
+	}
+	return t
+}
+
+// sameInvCDF reports how two tables differ, or nil.
+func sameInvCDF(got, want *invCDF) error {
+	switch {
+	case got.shift != want.shift || got.below != want.below || got.cHi != want.cHi:
+		return fmt.Errorf("shift/below/cHi %d/%d/%v, reference %d/%d/%v",
+			got.shift, got.below, got.cHi, want.shift, want.below, want.cHi)
+	case !slices.Equal(got.icdf, want.icdf):
+		return fmt.Errorf("icdf columns differ")
+	case !slices.Equal(got.cells, want.cells):
+		return fmt.Errorf("guide cells differ")
+	}
+	return nil
+}
+
+// TestInvCDFMatchesTwoScanBuilder checks that the one-pass guide fill
+// builds exactly the table the two-scan builder built from the same
+// float CDF: every grid cell 1..255, and rail samplers at 4000 means
+// from 1e-4 to maxTableLambda (log-spaced, with every integer mean up to
+// 64 and the means on either side of each), dyadic tables with steps and
+// left edges next to cell boundaries, and guide sizes from one cell to
+// 64 per point.
+func TestInvCDFMatchesTwoScanBuilder(t *testing.T) {
+	check := func(name string, got invCDF, cdf []float64, below float64, minCells int) {
+		t.Helper()
+		want := twoScanInvCDF(cdf, below, minCells)
+		if err := sameInvCDF(&got, &want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for g := 1; g < len(grid); g++ {
+		mu := float64(g) * gridStep
+		tb := newGridTable(mu, gridTrim)
+		_, below, _, pmf := gridPMF(mu, gridTrim)
+		check(fmt.Sprintf("grid cell %d", g), tb.tab, floatCDF(pmf, below), below, 4*len(pmf))
+	}
+	var means []float64
+	for i := 0; i < 4000; i++ {
+		means = append(means, 1e-4*math.Pow(maxTableLambda/1e-4, float64(i)/3999))
+	}
+	for k := 1.0; k <= 64; k++ {
+		means = append(means, k, math.Nextafter(k, 0), math.Nextafter(k, 100))
+	}
+	for _, lambda := range means {
+		s := NewSampler(lambda)
+		pmf, _ := samplerPMF(lambda)
+		check(fmt.Sprintf("sampler %v", lambda), s.tab, floatCDF(pmf, 0), 0, 4*len(pmf))
+	}
+	// Dyadic tables whose steps and left edge sit one below, on and one
+	// above a boundary of four cells (2^51 apart), with a zero-mass point.
+	const cell = 1 << 51
+	bits := func(masses ...float64) []uint64 {
+		out := make([]uint64, len(masses))
+		for i, m := range masses {
+			out[i] = math.Float64bits(m)
+		}
+		return out
+	}
+	for _, edge := range []float64{cell - 1, cell, cell + 1, 2*cell - 1, 3*cell + 1} {
+		c := edge / (1 << 53)
+		for _, below := range []float64{0, c / 2, c} {
+			for _, pmf := range [][]uint64{bits(c-below, 1-c), bits(c-below, 0, 0.25, 0.75-c), bits(0.5-below, 0.5)} {
+				check(fmt.Sprintf("dyadic edge %v, below %v", edge, below),
+					newInvCDF(slices.Clone(pmf), below, 4), floatCDF(pmf, below), below, 4)
+			}
+		}
+	}
+	for _, lambda := range []float64{0.37, 12.3, 44.1, 1000} {
+		for _, perPoint := range []int{0, 1, 2, 3, 16, 64} {
+			pmf, _ := samplerPMF(lambda)
+			cdf := floatCDF(pmf, 0)
+			check(fmt.Sprintf("sampler %v, %d cells per point", lambda, perPoint),
+				newInvCDF(pmf, 0, perPoint*len(pmf)), cdf, 0, perPoint*len(cdf))
+		}
 	}
 }
 

@@ -124,8 +124,8 @@ func (s *Sampler) SampleNPCG(p *rand.PCG, dst []int) {
 				}
 				k := int(kf)
 				var bound float64
-				if k < len(s.accept) {
-					bound = s.accept[k]
+				if j := k - s.acceptLo; uint(j) < uint(len(s.accept)) {
+					bound = s.accept[j]
 				} else {
 					bound = s.acceptAt(kf)
 				}

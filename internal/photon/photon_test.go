@@ -177,11 +177,31 @@ func TestChannelDegradesWithDistance(t *testing.T) {
 
 func TestChannelAtValidation(t *testing.T) {
 	b := DefaultLinkBudget()
-	if _, err := b.ChannelAt(optics.Geometry{}, 100); err == nil {
-		t.Fatal("zero distance accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		what string
+		g    optics.Geometry
+		lux  float64
+	}{
+		{"zero distance", optics.Geometry{}, 100},
+		{"negative lux", optics.Aligned(1, 0), -5},
+		{"NaN distance", optics.Aligned(nan, 0), 100},
+		{"Inf distance", optics.Aligned(inf, 0), 100},
+		{"NaN angle", optics.Aligned(1, nan), 100},
+		{"Inf angle", optics.Aligned(1, -inf), 100},
+		{"NaN lux", optics.Aligned(1, 0), nan},
+		{"Inf lux", optics.Aligned(1, 0), inf},
+		{"1e300 lux", optics.Aligned(1, 0), 1e300},
+		{"signal past the ceiling", optics.Aligned(1e-6, 0), 100},
+	} {
+		if ch, err := b.ChannelAt(c.g, c.lux); err == nil {
+			t.Errorf("%s accepted: %+v", c.what, ch)
+		}
 	}
-	if _, err := b.ChannelAt(optics.Aligned(1, 0), -5); err == nil {
-		t.Fatal("negative lux accepted")
+	// The 1 mm link is hostile but physical: about 1e9 signal counts.
+	ch, err := b.ChannelAt(optics.Aligned(1e-3, 0), 100)
+	if err != nil || ch.SignalPerSlot < 1e8 || ch.SignalPerSlot > MaxMeanPerSlot {
+		t.Fatalf("1 mm link: %+v, %v", ch, err)
 	}
 }
 

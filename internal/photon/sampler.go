@@ -19,12 +19,14 @@ type Sampler struct {
 	lambda float64
 
 	// PTRS path (lambda > maxTableLambda): Hörmann's envelope constants
-	// and the pretabulated acceptance bound exp(k·lnλ − λ − ln k!)
-	// covering the plausible candidate range (beyond it the bound is
+	// and the pretabulated acceptance bound exp(k·lnλ − λ − ln k!) over
+	// the window of candidates within twelve standard deviations of the
+	// mean, at most maxAcceptLen of them (outside it the bound is
 	// recomputed, via the identical expression, so draws stay
 	// bit-identical to SamplePCG).
 	logLambda, b, a, invAlpha, vr float64
-	accept                        []float64 // accept[k] = exp(k·lnλ − λ − ln k!)
+	acceptLo                      int       // the candidate accept[0] belongs to
+	accept                        []float64 // accept[j] = exp(k·lnλ − λ − ln k!) for k = acceptLo+j
 
 	// Inverse-CDF block path (0 < lambda <= maxTableLambda): the table
 	// over P(X ≤ k) for k = 0..n−1, and lastPMF the mass at the table
@@ -39,6 +41,12 @@ type Sampler struct {
 // near-optimal for means this large.
 const maxTableLambda = 4096
 
+// maxAcceptLen caps the PTRS acceptance window at 512 KB per sampler.
+// Twelve standard deviations either side of a mean of 1e7 are 76k
+// candidates, and of the ON rail 1 mm from the LED (a mean near 2.9e8)
+// 405k.
+const maxAcceptLen = 1 << 16
+
 // NewSampler builds a sampler for the mean. Non-positive means always
 // sample zero, mirroring SamplePCG.
 func NewSampler(lambda float64) *Sampler {
@@ -46,10 +54,10 @@ func NewSampler(lambda float64) *Sampler {
 	switch {
 	case lambda <= 0:
 	case lambda <= maxTableLambda:
-		cdf, lastPMF := samplerCDF(lambda)
+		pmf, lastPMF := samplerPMF(lambda)
 		// Four guide cells per support point or more leave all but a
 		// few percent of the draws in determined cells (see invCDF).
-		s.tab, s.lastPMF = newInvCDF(cdf, 0, 4*len(cdf)), lastPMF
+		s.tab, s.lastPMF = newInvCDF(pmf, 0, 4*len(pmf)), lastPMF
 	default:
 		s.logLambda = math.Log(lambda)
 		s.b = 0.931 + 2.53*math.Sqrt(lambda)
@@ -57,10 +65,12 @@ func NewSampler(lambda float64) *Sampler {
 		s.invAlpha = 1.1239 + 1.1328/(s.b-3.4)
 		s.vr = 0.9277 - 3.6224/(s.b-2)
 		// Rejection candidates concentrate within a few σ of the mean;
-		// cover a generous range and fall back to recomputing beyond it.
-		s.accept = make([]float64, samplerSupport(lambda))
-		for k := range s.accept {
-			s.accept[k] = s.acceptAt(float64(k))
+		// cover a generous window around it and recompute outside.
+		half := min(12*math.Sqrt(lambda), maxAcceptLen/2)
+		s.acceptLo = int(lambda - half)
+		s.accept = make([]float64, int(lambda+half)-s.acceptLo)
+		for j := range s.accept {
+			s.accept[j] = s.acceptAt(float64(s.acceptLo + j))
 		}
 	}
 	return s
@@ -73,29 +83,27 @@ func samplerSupport(lambda float64) int {
 	return int(lambda+12*math.Sqrt(lambda)) + 32
 }
 
-// samplerCDF returns the float CDF P(X ≤ k), k = 0..n−1, a Sampler's
-// table is built from, and the point mass at its last entry. The PMF is
-// grown outward from the mode by the stable two-term recurrence, so no
-// intermediate underflows even though P(X=0) does for large means.
-func samplerCDF(lambda float64) (cdf []float64, lastPMF float64) {
+// samplerPMF returns the point masses P(X = k), k = 0..n−1, a Sampler's
+// table is built from, as float64 bits (see newInvCDF), and the mass at
+// its last entry. The PMF is grown outward from the mode by the stable
+// two-term recurrence, so no intermediate underflows even though
+// P(X=0) does for large means.
+func samplerPMF(lambda float64) (pmf []uint64, lastPMF float64) {
 	n := samplerSupport(lambda)
-	cdf = make([]float64, n) // holds the PMF, then its running sum
+	pmf = make([]uint64, n)
 	mode := int(lambda)
 	lg, _ := math.Lgamma(float64(mode) + 1)
-	cdf[mode] = math.Exp(float64(mode)*math.Log(lambda) - lambda - lg)
-	for k := mode; k+1 < n; k++ {
-		cdf[k+1] = cdf[k] * lambda / float64(k+1)
+	p := math.Exp(float64(mode)*math.Log(lambda) - lambda - lg)
+	pmf[mode] = math.Float64bits(p)
+	for k, q := mode, p; k+1 < n; k++ {
+		q = q * lambda / float64(k+1)
+		pmf[k+1] = math.Float64bits(q)
 	}
-	for k := mode; k > 0; k-- {
-		cdf[k-1] = cdf[k] * float64(k) / lambda
+	for k, q := mode, p; k > 0; k-- {
+		q = q * float64(k) / lambda
+		pmf[k-1] = math.Float64bits(q)
 	}
-	lastPMF = cdf[n-1]
-	c := 0.0
-	for k, p := range cdf {
-		c += p
-		cdf[k] = c
-	}
-	return cdf, lastPMF
+	return pmf, math.Float64frombits(pmf[n-1])
 }
 
 // tableDraw maps the 53-bit integer x of one uniform onto the Poisson

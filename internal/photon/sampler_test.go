@@ -20,42 +20,53 @@ func TestSamplerForShares(t *testing.T) {
 	}
 }
 
-// TestSamplerLogFactFallback covers the PTRS fallback past the end of
-// its accept table, where the bound is recomputed by acceptAt with ln k!
-// beyond the log-factorial table. At a mean just above maxTableLambda it
-// finds the first seed whose opening candidate lands past the table and
-// survives the squeeze rejection, and checks the block fill against
-// SamplePCG over a twin generator for that draw and the ones after.
+// TestSamplerLogFactFallback covers the PTRS fallback outside its
+// acceptance window, where the bound is recomputed by acceptAt: below
+// the window, and above it with ln k! beyond the log-factorial table. At
+// a mean just above maxTableLambda, and at one whose window is capped at
+// maxAcceptLen, it finds the first seeds whose opening candidate lands
+// on either side of the window and survives the squeeze rejection, and
+// checks the block fill against SamplePCG over a twin generator for that
+// draw and the ones after.
 func TestSamplerLogFactFallback(t *testing.T) {
-	const lambda = maxTableLambda + 0.5
-	s := NewSampler(lambda)
-	if len(s.accept) == 0 {
-		t.Fatal("no accept table above maxTableLambda")
-	}
-	seed := uint64(0)
-	for ; ; seed++ {
-		p := rand.NewPCG(seed, 1)
-		u := PCGFloat64(p) - 0.5
-		v := PCGFloat64(p)
-		us := 0.5 - math.Abs(u)
-		kf := math.Floor((2*s.a/us+s.b)*u + lambda + 0.43)
-		if !(us >= 0.07 && v <= s.vr) && !(us < 0.013 && v > us) && kf >= float64(len(s.accept)) {
-			break
+	for _, lambda := range []float64{maxTableLambda + 0.5, 3e7} {
+		s := NewSampler(lambda)
+		end := s.acceptLo + len(s.accept)
+		switch {
+		case len(s.accept) == 0 || len(s.accept) > maxAcceptLen:
+			t.Fatalf("lambda %v: accept window of %d entries", lambda, len(s.accept))
+		case s.acceptLo <= 0 || float64(s.acceptLo) > lambda || float64(end) < lambda:
+			t.Fatalf("lambda %v: accept window [%d, %d) misses the mean or starts at zero", lambda, s.acceptLo, end)
+		case end <= lnFactTableN:
+			t.Fatalf("lambda %v: accept window ends at %d, inside the ln k! table", lambda, end)
 		}
-	}
-	if float64(len(s.accept)) <= lnFactTableN {
-		t.Fatalf("accept table of %d entries ends inside the ln k! table", len(s.accept))
-	}
-	pcg, twin := rand.NewPCG(seed, 1), rand.NewPCG(seed, 1)
-	got := make([]int, 64)
-	s.SampleNPCG(pcg, got)
-	for i, k := range got {
-		if want := SamplePCG(twin, lambda); k != want {
-			t.Fatalf("seed %d draw %d: SampleNPCG %d, SamplePCG %d", seed, i, k, want)
+		for _, side := range []string{"below", "above"} {
+			seed := uint64(0)
+			for ; ; seed++ {
+				p := rand.NewPCG(seed, 1)
+				u := PCGFloat64(p) - 0.5
+				v := PCGFloat64(p)
+				us := 0.5 - math.Abs(u)
+				kf := math.Floor((2*s.a/us+s.b)*u + lambda + 0.43)
+				if (us >= 0.07 && v <= s.vr) || kf < 0 || (us < 0.013 && v > us) {
+					continue
+				}
+				if (side == "below" && kf < float64(s.acceptLo)) || (side == "above" && kf >= float64(end)) {
+					break
+				}
+			}
+			pcg, twin := rand.NewPCG(seed, 1), rand.NewPCG(seed, 1)
+			got := make([]int, 64)
+			s.SampleNPCG(pcg, got)
+			for i, k := range got {
+				if want := SamplePCG(twin, lambda); k != want {
+					t.Fatalf("lambda %v, candidate %s the window, seed %d draw %d: SampleNPCG %d, SamplePCG %d", lambda, side, seed, i, k, want)
+				}
+			}
+			if a, b := pcg.Uint64(), twin.Uint64(); a != b {
+				t.Fatalf("lambda %v, candidate %s the window, seed %d: streams diverged (%d vs %d)", lambda, side, seed, a, b)
+			}
 		}
-	}
-	if a, b := pcg.Uint64(), twin.Uint64(); a != b {
-		t.Fatalf("seed %d: streams diverged (%d vs %d)", seed, a, b)
 	}
 }
 

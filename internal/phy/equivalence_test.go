@@ -109,6 +109,37 @@ func TestProcessMatchesReference(t *testing.T) {
 // original per-segment transmitter. The fast path's cached lambda can
 // differ from the reference's accumulated one by float ulps, so the
 // contract is decode-level, at an operating point with SNR headroom.
+// TestAmbientUpdateMatchesReference checks the branch-free ambient
+// update against the original one on 200k random frames: random slot
+// values, consumed counts past the slot column, offsets, and sample
+// columns cut short anywhere, so the bound on the last usable slot is
+// exercised from both sides. Both receivers must hold the same estimate,
+// bit for bit, after every frame.
+func TestAmbientUpdateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 12))
+	var fast, ref Receiver
+	for i := 0; i < 200_000; i++ {
+		slots := make([]bool, rng.IntN(40))
+		for s := range slots {
+			slots[s] = rng.IntN(3) == 0
+		}
+		offset := rng.IntN(9)
+		samples := make([]int, rng.IntN(offset+len(slots)*Oversample+8))
+		for j := range samples {
+			samples[j] = rng.IntN(4096)
+		}
+		consumed := rng.IntN(len(slots) + 6)
+		fast.updateAmbientFromFrame(samples, offset, slots, consumed)
+		ref.refUpdateAmbient(samples, offset, slots, consumed)
+		if fast.ambientEMA != ref.ambientEMA || fast.ambientSet != ref.ambientSet {
+			t.Fatalf("frame %d: ambient (%v, %v), reference (%v, %v)", i, fast.ambientEMA, fast.ambientSet, ref.ambientEMA, ref.ambientSet)
+		}
+		if rng.IntN(50) == 0 {
+			fast, ref = Receiver{}, Receiver{}
+		}
+	}
+}
+
 func TestTransmitDecodeMatchesReference(t *testing.T) {
 	link, ch, factory, sch := eqOperatingPoint(t)
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"smartvlc/internal/amppm"
 	"smartvlc/internal/frame"
@@ -203,6 +204,25 @@ func TestEndToEndBeyondRangeFails(t *testing.T) {
 	if len(results) != 0 {
 		t.Fatalf("frames decoded at 5 m: %d", len(results))
 	}
+}
+
+// TestHostileGeometryBounded runs one frame through TransmitPCG and a
+// receiver 1 mm from the LED, about 1e9 signal counts per slot. Tuning
+// the receiver's threshold there once scanned every candidate up to the
+// signal, and the ON rail's PTRS sampler tabulated an acceptance bound
+// for every count up to its mean of ~3e8; both are bounded now, so the
+// frame must finish well under a second. (The 12-bit ADC saturates at
+// this range, so no frame decodes.)
+func TestHostileGeometryBounded(t *testing.T) {
+	if ch := channelAt(t, 1e-3, 8000); ch.SignalPerSlot < 5e8 {
+		t.Fatalf("1 mm link carries only %v signal counts per slot", ch.SignalPerSlot)
+	}
+	start := time.Now()
+	results, stats := endToEnd(t, amppmScheme(t), 0.5, 1e-3, 8000, [][]byte{make([]byte, 128)})
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("one frame at 1 mm took %v", d)
+	}
+	t.Logf("one frame at 1 mm: %v, %d decoded, %v", time.Since(start), len(results), stats)
 }
 
 func TestEndToEndWorstCase36m(t *testing.T) {

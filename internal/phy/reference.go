@@ -183,7 +183,7 @@ func (r *Receiver) referenceProcess(samples []int) ([]frame.Result, Stats) {
 		stats.FramesOK++
 		stats.SymbolErrors += res.SymbolErrors
 		results = append(results, res)
-		r.updateAmbientFromFrame(samples, locked, slots, res.SlotsConsumed)
+		r.refUpdateAmbient(samples, locked, slots, res.SlotsConsumed)
 		next := locked + res.SlotsConsumed*Oversample - Oversample
 		if next <= i {
 			next = i + 1
@@ -191,4 +191,31 @@ func (r *Receiver) referenceProcess(samples []int) ([]frame.Result, Stats) {
 		i = next
 	}
 	return results, stats
+}
+
+// refUpdateAmbient is the original ambient update: a float sum over the
+// OFF–OFF slots, branching on each slot pair and stopping at the first
+// one whose window runs past the samples.
+func (r *Receiver) refUpdateAmbient(samples []int, offset int, slots []bool, consumed int) {
+	sum, n := 0.0, 0
+	for s := 1; s < consumed && s < len(slots); s++ {
+		if slots[s] || slots[s-1] {
+			continue
+		}
+		base := offset + s*Oversample
+		if base+2 >= len(samples) {
+			break
+		}
+		sum += float64(samples[base+1] + samples[base+2])
+		n++
+	}
+	if n < 4 {
+		return
+	}
+	est := sum / float64(n)
+	if !r.ambientSet {
+		r.ambientEMA, r.ambientSet = est, true
+		return
+	}
+	r.ambientEMA += 0.05 * (est - r.ambientEMA)
 }

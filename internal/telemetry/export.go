@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,16 +90,27 @@ func exemplarSnapshot(ex map[int][]Exemplar) []BucketExemplars {
 	return out
 }
 
-// labelSig renders labels for sorting and Prometheus label blocks.
+// labelSig renders labels for sorting and Prometheus label blocks:
+// key=value pairs joined by commas, built in one allocation.
 func labelSig(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	parts := make([]string, len(labels))
-	for i, l := range labels {
-		parts[i] = l.Key + "=" + l.Value
+	n := len(labels) - 1
+	for _, l := range labels {
+		n += len(l.Key) + 1 + len(l.Value)
 	}
-	return strings.Join(parts, ",")
+	var b strings.Builder
+	b.Grow(n)
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(l.Key)
+		b.WriteByte('=')
+		b.WriteString(l.Value)
+	}
+	return b.String()
 }
 
 // Snapshot captures the registry's current state. Returns an empty
@@ -156,24 +168,39 @@ func (r *Registry) Snapshot() *Snapshot {
 // sortCanonical imposes the canonical series order — by name, then label
 // signature — that makes snapshot exports byte-comparable.
 func (s *Snapshot) sortCanonical() {
-	sort.Slice(s.Counters, func(i, j int) bool {
-		if s.Counters[i].Name != s.Counters[j].Name {
-			return s.Counters[i].Name < s.Counters[j].Name
+	sortSeries(s.Counters, func(c *CounterSnapshot) (string, []Label) { return c.Name, c.Labels })
+	sortSeries(s.Gauges, func(g *GaugeSnapshot) (string, []Label) { return g.Name, g.Labels })
+	sortSeries(s.Histograms, func(h *HistogramSnapshot) (string, []Label) { return h.Name, h.Labels })
+}
+
+// sortSeries sorts series by name, then label signature. It renders each
+// signature once and sorts keyed records, where a comparator rendering
+// both signatures would render 2·n·log n of them; the comparisons, and so
+// the permutation, are those of that comparator.
+func sortSeries[T any](series []T, key func(*T) (string, []Label)) {
+	if len(series) < 2 {
+		return
+	}
+	type keyed struct {
+		name, sig string
+		at        int
+	}
+	ks := make([]keyed, len(series))
+	for i := range series {
+		name, labels := key(&series[i])
+		ks[i] = keyed{name, labelSig(labels), i}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.name != b.name {
+			return strings.Compare(a.name, b.name)
 		}
-		return labelSig(s.Counters[i].Labels) < labelSig(s.Counters[j].Labels)
+		return strings.Compare(a.sig, b.sig)
 	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		if s.Gauges[i].Name != s.Gauges[j].Name {
-			return s.Gauges[i].Name < s.Gauges[j].Name
-		}
-		return labelSig(s.Gauges[i].Labels) < labelSig(s.Gauges[j].Labels)
-	})
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		if s.Histograms[i].Name != s.Histograms[j].Name {
-			return s.Histograms[i].Name < s.Histograms[j].Name
-		}
-		return labelSig(s.Histograms[i].Labels) < labelSig(s.Histograms[j].Labels)
-	})
+	sorted := make([]T, len(series))
+	for i, k := range ks {
+		sorted[i] = series[k.at]
+	}
+	copy(series, sorted)
 }
 
 // JSON marshals the snapshot as canonical indented JSON: fixed field
