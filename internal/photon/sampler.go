@@ -34,6 +34,12 @@ type Sampler struct {
 	// term by term.
 	tab     invCDF
 	lastPMF float64
+
+	// maxCount is the largest count a draw can return: the draw of the
+	// largest 53-bit integer (where the tail walk stops for it, when it
+	// reaches the walk), 0 for a non-positive mean and math.MaxInt (no
+	// bound) on the PTRS path.
+	maxCount int
 }
 
 // maxTableLambda bounds the means that get an inverse-CDF table: the
@@ -58,7 +64,11 @@ func NewSampler(lambda float64) *Sampler {
 		// Four guide cells per support point or more leave all but a
 		// few percent of the draws in determined cells (see invCDF).
 		s.tab, s.lastPMF = newInvCDF(pmf, 0, 4*len(pmf)), lastPMF
+		// A draw never falls as its integer rises, so the largest
+		// integer draws the largest count.
+		s.maxCount = s.tableDraw(1<<53 - 1)
 	default:
+		s.maxCount = math.MaxInt
 		s.logLambda = math.Log(lambda)
 		s.b = 0.931 + 2.53*math.Sqrt(lambda)
 		s.a = -0.059 + 0.02483*s.b
@@ -141,6 +151,11 @@ func (s *Sampler) acceptAt(kf float64) float64 {
 
 // Lambda returns the mean the sampler was built for.
 func (s *Sampler) Lambda() float64 { return s.lambda }
+
+// MaxCount returns the largest count the sampler can draw, math.MaxInt
+// when its draws are unbounded (means above maxTableLambda). Draws are
+// never negative.
+func (s *Sampler) MaxCount() int { return s.maxCount }
 
 // samplerCache memoizes Samplers by mean. A static link reuses the same
 // two rail means (one per settled LED state) per operating point, so the

@@ -130,3 +130,60 @@ func TestSamplerForConcurrentClears(t *testing.T) {
 		t.Errorf("cache holds %d samplers, cap %d", n, samplerCacheMax)
 	}
 }
+
+// TestSamplerMaxCount pins the bound behind the transmitter's
+// conditional rail clamp: over rail means from 0.05 to 4096 (log-spaced,
+// plus integers), no draw exceeds MaxCount — not the draw of the largest
+// integer, which attains it, nor those on both sides of the last table
+// entry, nor a block of random draws. Non-positive means report 0 and
+// means drawn by PTRS report no bound. The pinned stops are Fig. 15's
+// nominal ON rail (44.1, whose float CDF reaches 1 inside the table, so
+// no uniform reaches the tail walk) and three means whose tail walks end
+// where the point mass falls below 1e-320.
+func TestSamplerMaxCount(t *testing.T) {
+	var lambdas []float64
+	for i := 0; i < 100; i++ {
+		lambdas = append(lambdas, 0.05*math.Pow(4096/0.05, float64(i)/99))
+	}
+	for k := 1; k <= maxTableLambda; k += 1 + k/4 {
+		lambdas = append(lambdas, float64(k))
+	}
+	lambdas = append(lambdas, maxTableLambda)
+	block := make([]int, 4096)
+	for _, lambda := range lambdas {
+		s := NewSampler(lambda)
+		bound := s.MaxCount()
+		if got := s.tableDraw(1<<53 - 1); got != bound {
+			t.Fatalf("lambda %v: the largest integer draws %d, bound %d", lambda, got, bound)
+		}
+		n := len(s.tab.icdf)
+		for _, x := range []uint64{s.tab.icdf[n-1] - 1, s.tab.icdf[n-1]} {
+			if x < 1<<53 {
+				if k := s.tableDraw(x); k > bound {
+					t.Fatalf("lambda %v: x = %d draws %d past the bound %d", lambda, x, k, bound)
+				}
+			}
+		}
+		s.SampleNPCG(rand.NewPCG(uint64(lambda*64), 9), block)
+		for _, k := range block {
+			if k < 0 || k > bound {
+				t.Fatalf("lambda %v: drew %d outside [0, %d]", lambda, k, bound)
+			}
+		}
+	}
+	for lambda, want := range map[float64]int{44.1: 106, 1000: 2435, 2000: 3941, 4096: 6778} {
+		if got := NewSampler(lambda).MaxCount(); got != want {
+			t.Errorf("lambda %v: bound %d, want %d", lambda, got, want)
+		}
+	}
+	for _, lambda := range []float64{0, -3} {
+		if got := NewSampler(lambda).MaxCount(); got != 0 {
+			t.Errorf("lambda %v: bound %d, want 0", lambda, got)
+		}
+	}
+	for _, lambda := range []float64{maxTableLambda + 0.5, 3e7} {
+		if got := NewSampler(lambda).MaxCount(); got != math.MaxInt {
+			t.Errorf("lambda %v (PTRS): bound %d, want none", lambda, got)
+		}
+	}
+}

@@ -5,8 +5,9 @@
 //
 //   - TransmitPCG walks the waveform's slot runs once and fills the
 //     pooled sample column in place: one Sampler.SampleNPCG block fill
-//     per settled run, quantized while cache-hot, and one draw per
-//     window that touches a slot transition.
+//     per settled run (clamped only when the rail's draws can pass the
+//     ADC's code), and one draw per window that touches a slot
+//     transition.
 //   - Process derives a prefix-sum column and the three-sample window
 //     column from it, then decodes frames into per-receiver reusable
 //     payload buffers.

@@ -6,6 +6,7 @@ import (
 
 	"smartvlc/internal/amppm"
 	"smartvlc/internal/frame"
+	"smartvlc/internal/hw"
 	"smartvlc/internal/optics"
 	"smartvlc/internal/photon"
 	"smartvlc/internal/scheme"
@@ -58,19 +59,42 @@ func benchSlots(b *testing.B, level float64, nFrames, idleGap int) []bool {
 }
 
 // BenchmarkPHYTransmit measures the transmit side alone: LED slew, clock
-// offset and Poisson detection for a multi-frame waveform.
+// offset and Poisson detection for a multi-frame waveform, reported per
+// RX sample. The levels are the ones filetransfer_stream writes at (0.5
+// is Fig. 15's waveform); the slow-LED case (6 µs rise, 3 µs fall) keeps
+// the LED ramping across several windows after every value change, so
+// its transitions take the per-segment slew walk.
 func BenchmarkPHYTransmit(b *testing.B) {
 	link, _, _ := benchLink(b)
-	slots := benchSlots(b, 0.5, 4, 24)
-	pcg := rand.NewPCG(1, 2)
-	rng := rand.New(pcg)
-	b.SetBytes(int64(len(slots)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		link.StartPhase = rng.Float64()
-		out := link.TransmitPCG(pcg, slots)
-		RecycleSamples(out)
+	slow := link
+	slow.LED = hw.LED{RiseSeconds: 6e-6, FallSeconds: 3e-6}
+	for _, c := range []struct {
+		name  string
+		link  Link
+		level float64
+	}{
+		{"level=0.1", link, 0.1},
+		{"level=0.5", link, 0.5},
+		{"level=0.9", link, 0.9},
+		{"slow-led", slow, 0.5},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			link := c.link
+			slots := benchSlots(b, c.level, 4, 24)
+			pcg := rand.NewPCG(1, 2)
+			rng := rand.New(pcg)
+			samples := 0
+			b.SetBytes(int64(len(slots)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				link.StartPhase = rng.Float64()
+				out := link.TransmitPCG(pcg, slots)
+				samples += len(out)
+				RecycleSamples(out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+		})
 	}
 }
 

@@ -12,7 +12,8 @@
 //
 // Both directions run on a sample-domain fast path (see DESIGN.md):
 // TransmitPCG skips the per-segment slew integration for windows where
-// the LED sits settled on a rail, and Process precomputes all three-sample
+// the LED sits settled on a rail and for the two windows around each
+// slot-value change, and Process precomputes all three-sample
 // window sums once so every preamble probe, lock refinement and slot fold
 // is an O(1) lookup. reference.go keeps the original per-sample
 // implementations; equivalence tests pin the fast paths to them.
@@ -86,10 +87,12 @@ func DefaultLink(ch photon.Channel) Link {
 // While the LED rests on the rail of the current run, the windows that
 // end inside the run are settled: their Poisson mean is a constant of the
 // link, so railRun counts them and the rail's cached sampler block-fills
-// them with its inverse-CDF table. A window that touches a value
-// transition, or the LED ramp after one, takes the exact per-segment
-// slew integration and is drawn in place from photon's grid of Poisson
-// tables (SampleGridPCG). Both draws consume the stream differently
+// them with its inverse-CDF table. The window holding the run's last
+// slot boundary and the LED ramp window after it get their means in
+// closed form (edgeWindows); any other window that touches a value
+// transition or a ramp takes the exact per-segment slew integration.
+// Those windows draw from photon's grid of Poisson tables
+// (SampleGridPCG). Both draws consume the stream differently
 // from the scalar reference path while the per-window distributions —
 // and therefore every decode — do not (reference.go remains the
 // equivalence oracle).
@@ -105,6 +108,10 @@ func (l Link) TransmitPCG(pcg *rand.PCG, slots []bool) []int {
 	out := newSampleBuf(nSamples)[:nSamples]
 	onSampler := photon.SamplerFor(l.Channel.MeanFor(1, tsamp/tslot))
 	offSampler := photon.SamplerFor(l.Channel.MeanFor(0, tsamp/tslot))
+	// A rail whose draws cannot pass the ADC's code needs no clamp.
+	maxCode := l.ADC.MaxCode
+	clampOn := maxCode > 0 && onSampler.MaxCount() > maxCode
+	clampOff := maxCode > 0 && offSampler.MaxCount() > maxCode
 
 	intensity := 0.0 // LED optical output at the time cursor
 	if len(slots) > 0 && slots[0] {
@@ -125,19 +132,51 @@ func (l Link) TransmitPCG(pcg *rand.PCG, slots []bool) []int {
 			slotIdx++
 			slotEnd += tslot
 		}
+		winEnd := cursor + tsamp
+		// The LED rests on the active slot's value and the next slot
+		// switches to the other inside this window, the boundary after
+		// that lying past the window: the walk below would integrate the
+		// rail up to the boundary and the ramp after it, in this window
+		// and (while the ramp lasts and the next boundary does not cut
+		// it) the next. edgeWindows makes the walk's float operations in
+		// its order. (railRun would count no window here.)
+		if slotIdx+1 < len(slots) && slots[slotIdx+1] != slots[slotIdx] &&
+			intensity == float64(b2i(slots[slotIdx])) &&
+			slotEnd < winEnd-1e-15 && slotEnd+tslot > winEnd {
+			m0, n1, m1, n2, ramp := l.edgeWindows(intensity, cursor, winEnd, slotEnd, tsamp, tslot)
+			slotIdx++
+			slotEnd += tslot
+			if ramp && j+1 < nSamples {
+				out[j] = l.ADC.Quantize(photon.SampleGridPCG(pcg, m0))
+				out[j+1] = l.ADC.Quantize(photon.SampleGridPCG(pcg, m1))
+				intensity, cursor = n2, winEnd+tsamp
+				exact += 2
+				j += 2
+				continue
+			}
+			out[j] = l.ADC.Quantize(photon.SampleGridPCG(pcg, m0))
+			intensity, cursor = n1, winEnd
+			exact++
+			j++
+			continue
+		}
 		if n, on, next := railRun(slots, slotIdx, slotEnd, cursor, tsamp, tslot, intensity, nSamples-j); n > 0 {
 			chunk := out[j : j+n]
 			if on {
 				onSampler.SampleNPCG(pcg, chunk)
+				if clampOn {
+					l.ADC.QuantizeAll(chunk)
+				}
 			} else {
 				offSampler.SampleNPCG(pcg, chunk)
+				if clampOff {
+					l.ADC.QuantizeAll(chunk)
+				}
 			}
-			l.ADC.QuantizeAll(chunk)
 			j += n
 			cursor = next
 			continue
 		}
-		winEnd := cursor + tsamp
 		lambda := 0.0
 		t := cursor
 		for t < winEnd-1e-15 {
@@ -178,6 +217,33 @@ func (l Link) TransmitPCG(pcg *rand.PCG, slots []bool) []int {
 	l.Prof.Samples(int64(nSamples))
 	l.Prof.Slots(int64(len(slots)))
 	return out
+}
+
+// edgeWindows returns the Poisson means of the two windows around a slot
+// boundary b in (cursor, winEnd) where the LED, resting on the rail r0
+// up to b, starts toward the other one, r1: m0 is the boundary window's [cursor, winEnd) and n1
+// the LED level at its end; m1 is the next window's [winEnd,
+// winEnd+tsamp), with n2 the level at its end, and ramp reports whether
+// that window is still a plain ramp toward r1 (the LED has not arrived
+// and the slot after b lasts to the window's end). Each mean is the one
+// the per-segment walk accumulates, by the same float operations in the
+// same order: the walk's first segment holds r0 (LED.Step from a rail to
+// itself stays put), so it adds MeanFor(r0, ·) to zero.
+func (l *Link) edgeWindows(r0, cursor, winEnd, b, tsamp, tslot float64) (m0, n1, m1, n2 float64, ramp bool) {
+	r1 := 1 - r0
+	dt := winEnd - b
+	n1 = l.LED.Step(r0, r1, dt)
+	m0 = l.Channel.MeanFor(r0, (b-cursor)/tslot) + l.Channel.MeanFor((r0+n1)/2, dt/tslot)
+	next := winEnd + tsamp
+	// The walk's own guards for the next window: the slot after b is
+	// still active at winEnd and the window is not degenerate (both
+	// always hold at microsecond clocks).
+	if n1 == r1 || b+tslot < next || b+tslot <= winEnd+1e-15 || winEnd >= next-1e-15 {
+		return m0, n1, 0, n1, false
+	}
+	dt = next - winEnd
+	n2 = l.LED.Step(n1, r1, dt)
+	return m0, n1, l.Channel.MeanFor((n1+n2)/2, dt/tslot), n2, true
 }
 
 // railRun counts the settled windows that start at the cursor, at most

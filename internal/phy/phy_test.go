@@ -212,9 +212,12 @@ func TestEndToEndBeyondRangeFails(t *testing.T) {
 // signal, and the ON rail's PTRS sampler tabulated an acceptance bound
 // for every count up to its mean of ~3e8; both are bounded now, so the
 // frame must finish well under a second. (The 12-bit ADC saturates at
-// this range, so no frame decodes.)
+// this range, so no frame decodes.) The ON rail is drawn by PTRS, whose
+// draws have no bound, so its runs keep the ADC clamp: no sample passes
+// the code, and every settled ON sample sits on it.
 func TestHostileGeometryBounded(t *testing.T) {
-	if ch := channelAt(t, 1e-3, 8000); ch.SignalPerSlot < 5e8 {
+	ch := channelAt(t, 1e-3, 8000)
+	if ch.SignalPerSlot < 5e8 {
 		t.Fatalf("1 mm link carries only %v signal counts per slot", ch.SignalPerSlot)
 	}
 	start := time.Now()
@@ -223,6 +226,37 @@ func TestHostileGeometryBounded(t *testing.T) {
 		t.Fatalf("one frame at 1 mm took %v", d)
 	}
 	t.Logf("one frame at 1 mm: %v, %d decoded, %v", time.Since(start), len(results), stats)
+
+	link := DefaultLink(ch)
+	link.StartPhase = 0.41
+	codec, err := amppmScheme(t).CodecFor(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := frame.Build(codec, make([]byte, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const onRun = 200 // slots; the stream starts settled on the ON rail
+	slots := make([]bool, onRun, onRun+len(fs))
+	for i := range slots {
+		slots[i] = true
+	}
+	slots = append(slots, fs...)
+	samples := link.TransmitPCG(rand.NewPCG(5, 1), slots)
+	maxCode := link.ADC.MaxCode
+	for i, v := range samples {
+		if v < 0 || v > maxCode {
+			t.Fatalf("sample %d is %d, outside the ADC's 0..%d", i, v, maxCode)
+		}
+	}
+	// Windows well inside the leading ON run, clear of the run's end.
+	for i := 0; i < (onRun-2)*Oversample; i++ {
+		if samples[i] != maxCode {
+			t.Fatalf("settled ON sample %d is %d, want the ADC's code %d", i, samples[i], maxCode)
+		}
+	}
+	RecycleSamples(samples)
 }
 
 func TestEndToEndWorstCase36m(t *testing.T) {

@@ -1,10 +1,15 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
+	"smartvlc/internal/frame"
 	"smartvlc/internal/light"
+	"smartvlc/internal/mac"
 	"smartvlc/internal/optics"
+	"smartvlc/internal/photon"
+	"smartvlc/internal/phy"
 )
 
 // Failure-injection scenarios: the session must degrade the way the real
@@ -167,5 +172,49 @@ func TestVLCUplinkSession(t *testing.T) {
 	}
 	if rf.GoodputBps != 0 || rf.FramesOK == 0 {
 		t.Fatalf("out-of-range uplink: goodput=%v ok=%d", rf.GoodputBps, rf.FramesOK)
+	}
+}
+
+// TestAckTimeoutExtremesBounded pins the window-full idle step, which
+// advances the clock by AckTimeoutSeconds/8 and so barely moves it for
+// a tiny timeout. The step runs only while the window is full and no
+// in-flight frame has timed out. At a tiny timeout every in-flight frame
+// has, so the sender retransmits instead and each transmission moves the
+// clock by a frame's airtime; at a huge one a single idle step would end
+// the session. Either way both session loops send at most one frame per
+// frame airtime of the simulated duration.
+func TestAckTimeoutExtremesBounded(t *testing.T) {
+	const duration = 0.5
+	base := DefaultConfig(amppmScheme(t))
+	codec, err := base.Scheme.CodecFor(base.FixedLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := frame.Build(codec, make([]byte, mac.SeqBytes+base.PayloadBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	airtime := float64(len(fs)+base.IdleGapSlots) * phy.DefaultLink(photon.Channel{}).TxClock.TickSeconds()
+	maxFrames := int(math.Ceil(duration / airtime))
+	for _, timeout := range []float64{5e-324, 1e-12, 1e-3, 1e300} {
+		cfg := base
+		cfg.AckTimeoutSeconds = timeout
+		res, err := Run(cfg, duration)
+		if err != nil {
+			t.Fatalf("timeout %g: %v", timeout, err)
+		}
+		if res.FramesSent < 1 || res.FramesSent > maxFrames {
+			t.Errorf("timeout %g: Run sent %d frames in %v s of air, want 1..%d", timeout, res.FramesSent, duration, maxFrames)
+		}
+		bc := BroadcastConfig{Config: cfg, Receivers: []ReceiverPose{
+			{Geometry: optics.Aligned(2, 0)}, {Geometry: optics.Aligned(3, 2)},
+		}}
+		bres, err := RunBroadcast(bc, duration)
+		if err != nil {
+			t.Fatalf("timeout %g: %v", timeout, err)
+		}
+		if bres.FramesSent < 1 || bres.FramesSent > maxFrames {
+			t.Errorf("timeout %g: RunBroadcast sent %d frames in %v s of air, want 1..%d", timeout, bres.FramesSent, duration, maxFrames)
+		}
 	}
 }
