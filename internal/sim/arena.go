@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math"
 	"math/rand/v2"
 	"strconv"
@@ -11,9 +10,7 @@ import (
 	"smartvlc/internal/mac"
 	"smartvlc/internal/parallel"
 	"smartvlc/internal/phy"
-	"smartvlc/internal/telemetry/prof"
 	"smartvlc/internal/telemetry/span"
-	"smartvlc/internal/telemetry/vlog"
 )
 
 // This file holds the session arena: a reusable bundle of everything a
@@ -168,67 +165,11 @@ func (b *seqBits) set(seq uint16)      { b[seq>>6] |= 1 << (seq & 63) }
 func (b *seqBits) clear(seq uint16)    { b[seq>>6] &^= 1 << (seq & 63) }
 func (b *seqBits) resetAll()           { *b = seqBits{} }
 
-// rxOutbox buffers one frame window's side-channel traffic for one
-// broadcast receiver. The PHY work of a window runs concurrently per
-// receiver, but side.Send consumes the shared sideRng (loss and jitter
-// draws), so the sends are recorded here and replayed sequentially in
-// receiver order — exactly the sequence the serial loop produces.
-type rxOutbox struct {
-	ackSeqs []uint16
-	// newSeqs are the sequences newly delivered this window (ackSeqs
-	// minus re-acked duplicates) — what the health monitor counts as
-	// delivered payload and an ACK latency sample.
-	newSeqs    []uint16
-	stats      phy.Stats
-	ambient    float64
-	hasAmbient bool
-}
-
-// bcRxState is one broadcast receiver's session state; the arena retains
-// these across sessions and resets them per run.
-type bcRxState struct {
-	rng      *rand.Rand
-	pcg      *rand.PCG // rng's generator, for the PHY fast path
-	link     phy.Link
-	rx       *phy.Receiver
-	macRx    *mac.Receiver
-	lastLux  float64
-	remote   float64 // last reported ambient lux
-	reported bool
-	sumAcc   float64
-	sumN     int
-	out      rxOutbox
-	// Per-receiver stage-profiler handles (shard "rx<i>"), switched in
-	// the sequential phase on dimming-level changes. Nil when the
-	// profiler is unarmed; all adders no-op on nil.
-	profTx, profHunt, profDecode *prof.Stage
-	// spanBuf accumulates this shard's channel/hunt/decode spans for
-	// one frame; the merge loop splices it in receiver order.
-	spanBuf span.Buffer
-	// logBuf accumulates this shard's log records for one frame, spliced
-	// in receiver order like spanBuf so log snapshots stay byte-identical
-	// for any worker count.
-	logBuf vlog.Buffer
-}
-
-// bcRxProf is one receiver shard's stage-profiler handle set at one
-// dimming level.
-type bcRxProf struct{ tx, hunt, decode *prof.Stage }
-
-// bcLevelProf is the broadcast loop's per-dimming-level profiler state:
-// shared frame/mac handles, per-receiver shard handles, and the pre-built
-// pprof label context for the level.
-type bcLevelProf struct {
-	frame, mac *prof.Stage
-	rx         []bcRxProf
-	symbols    int64 // modulation symbols per frame body at this level
-	labels     context.Context
-}
-
-// Arena owns everything a session allocates — PHY link/receiver pairs,
-// MAC sender/receiver/side-channel state, codec and prof-handle caches,
-// span and slot buffers, broadcast receiver shards and their outboxes —
-// so repeated sessions rent warm state instead of reallocating it.
+// Arena owns everything a session allocates — the receiver shards with
+// their PHY link/receiver pairs, ARQ receivers, span and log buffers and
+// outboxes, the MAC sender and side channel, codec and prof-handle
+// caches and slot buffers — so repeated sessions rent warm state instead
+// of reallocating it.
 // Results, telemetry, spans, health and prof snapshots are byte-identical
 // to fresh-allocated runs for the same (config, duration).
 //
@@ -236,32 +177,30 @@ type bcLevelProf struct {
 // use; fleets thread one arena per worker (see RunFleet). The zero value
 // is ready to use.
 type Arena struct {
-	chanPCG, sidePCG, macPCG *rand.PCG
-	chanRng, sideRng, macRng *rand.Rand
+	sidePCG, macPCG *rand.PCG
+	sideRng, macRng *rand.Rand
 
 	sender *mac.Sender
-	rxSide *mac.Receiver
 	sideCh *mac.SideChannel
 	vlcUp  *mac.VLCUplink
 	sensor *hw.Filter
-	rx     *phy.Receiver
+	shards []*shard
 
-	codecs    codecCache
-	profCache map[float64]*profStages
+	codecs codecCache
+	levels map[float64]*levelProf
 
 	slotBuf     []bool
 	vSlotLen    int // virtual slot-buffer high-water; drives the frame-stage alloc counter
 	deliveredAt []float64
-	rxSpanBuf   span.Buffer
-	rxLogBuf    vlog.Buffer
 	roots       *rootRing // lazily built: only span-armed sessions write it
 
-	// Broadcast-session state, lazily built on the first broadcast rent.
-	bcRxs    []*bcRxState
+	// Broadcast bookkeeping, lazily built on the first broadcast rent.
 	acked    *ackRing
 	complete *seqBits
 	firstTx  *timeRing
-	bcProf   map[float64]*bcLevelProf
+
+	sess session
+	step func(int) // sess.step, bound once for pooled fan-outs
 }
 
 // NewArena returns an empty arena. Allocation happens lazily as the
@@ -297,23 +236,21 @@ func (a *Arena) RunBroadcast(cfg BroadcastConfig, duration float64) (BroadcastRe
 	return res, err
 }
 
-// reseed rewinds the arena's three generator pairs onto the session's
-// streams, creating them on first use. The salts match the fresh-run
-// derivations exactly, so rented and fresh sessions consume identical
-// randomness.
-func (a *Arena) reseed(seed, chanSalt, sideSalt, macSalt uint64) {
-	if a.chanPCG == nil {
-		a.chanPCG = rand.NewPCG(seed, chanSalt)
-		a.chanRng = rand.New(a.chanPCG)
-		a.sidePCG = rand.NewPCG(seed, sideSalt)
+// reseed rewinds the arena's side-channel and MAC generators onto the
+// session's streams for mode m, creating them on first use; the shards'
+// channel streams are reseeded by rentShards. The salts match the
+// fresh-run derivations exactly, so rented and fresh sessions consume
+// identical randomness.
+func (a *Arena) reseed(seed uint64, m mode) {
+	if a.sidePCG == nil {
+		a.sidePCG = rand.NewPCG(seed, m.sideSalt)
 		a.sideRng = rand.New(a.sidePCG)
-		a.macPCG = rand.NewPCG(seed, macSalt)
+		a.macPCG = rand.NewPCG(seed, m.macSalt)
 		a.macRng = rand.New(a.macPCG)
 		return
 	}
-	a.chanPCG.Seed(seed, chanSalt)
-	a.sidePCG.Seed(seed, sideSalt)
-	a.macPCG.Seed(seed, macSalt)
+	a.sidePCG.Seed(seed, m.sideSalt)
+	a.macPCG.Seed(seed, m.macSalt)
 }
 
 // rentSender resets the arena's ARQ sender for the session (building it
@@ -331,16 +268,6 @@ func (a *Arena) rentSender(window, payloadBytes int, timeout float64) (*mac.Send
 		return nil, err
 	}
 	return a.sender, nil
-}
-
-// rentReceiverSide resets the arena's ARQ receiver for the session.
-func (a *Arena) rentReceiverSide(payloadBytes int) *mac.Receiver {
-	if a.rxSide == nil {
-		a.rxSide = mac.NewReceiverSide(payloadBytes)
-		return a.rxSide
-	}
-	a.rxSide.Reset(payloadBytes)
-	return a.rxSide
 }
 
 // rentSideChannel resets the arena's Wi-Fi side channel on the arena's
@@ -374,78 +301,57 @@ func (a *Arena) rentSensor(pd hw.Photodiode) *hw.Filter {
 	return a.sensor
 }
 
-// rentReceiver returns the arena's PHY receiver shell; the session's
-// channel-rebuild path configures it via Reset, which also rewinds the
-// virtual alloc counters so prof snapshots match a receiver-per-rebuild
-// fresh run.
-func (a *Arena) rentReceiver() *phy.Receiver {
-	if a.rx == nil {
-		a.rx = new(phy.Receiver)
-	}
-	return a.rx
-}
-
-// rentProfCache clears and returns the per-level stage-handle cache.
+// rentLevels clears and returns the per-level profiler-handle cache.
 // Cleared per session (not reused across them) because the handles
 // belong to the session's profiler and the label contexts embed its
 // seed; the map's buckets survive, so steady-state sessions insert
 // without allocating.
-func (a *Arena) rentProfCache() map[float64]*profStages {
-	if a.profCache == nil {
-		a.profCache = make(map[float64]*profStages, 4)
+func (a *Arena) rentLevels() map[float64]*levelProf {
+	if a.levels == nil {
+		a.levels = make(map[float64]*levelProf, 4)
 	} else {
-		clear(a.profCache)
+		clear(a.levels)
 	}
-	return a.profCache
+	return a.levels
 }
 
-// rentBcProfCache is rentProfCache for the broadcast stage handles.
-func (a *Arena) rentBcProfCache() map[float64]*bcLevelProf {
-	if a.bcProf == nil {
-		a.bcProf = make(map[float64]*bcLevelProf, 4)
-	} else {
-		clear(a.bcProf)
+// rentShards resets the first n receiver shards for a session, growing
+// the shard list on first use. Shard i's generator is reseeded onto the
+// stream parallel.PCG derives for (seed, salt, i), so its draws are
+// identical to a fresh run's. Receivers are configured by the session's
+// channel rebuild, whose Reset also rewinds their virtual alloc counters.
+func (a *Arena) rentShards(n int, seed, salt uint64, payloadBytes int) []*shard {
+	for i := len(a.shards); i < n; i++ {
+		a.shards = append(a.shards, &shard{
+			rx:   new(phy.Receiver),
+			name: "rx" + strconv.Itoa(i),
+			attr: span.Attr{Key: "rx", Value: strconv.Itoa(i)},
+		})
 	}
-	return a.bcProf
-}
-
-// rentBcReceivers resets the first n broadcast receiver shards for the
-// session, growing the shard list on first use. Each shard's RNG is
-// reseeded onto the stream parallel.PCG derives for its index, so shard
-// i's draws are identical to a fresh run's.
-func (a *Arena) rentBcReceivers(n int, seed uint64, payloadBytes int) []*bcRxState {
-	for len(a.bcRxs) < n {
-		a.bcRxs = append(a.bcRxs, &bcRxState{})
-	}
-	rxs := a.bcRxs[:n]
-	for i, st := range rxs {
-		if st.pcg == nil {
-			st.pcg = parallel.PCG(seed, 0xBEEF00, i)
-			st.rng = rand.New(st.pcg)
+	shards := a.shards[:n]
+	for i, sh := range shards {
+		if sh.pcg == nil {
+			sh.pcg = parallel.PCG(seed, salt, i)
+			sh.rng = rand.New(sh.pcg)
 		} else {
-			parallel.ReseedPCG(st.pcg, seed, 0xBEEF00, i)
+			parallel.ReseedPCG(sh.pcg, seed, salt, i)
 		}
-		if st.macRx == nil {
-			st.macRx = mac.NewReceiverSide(payloadBytes)
+		if sh.macRx == nil {
+			sh.macRx = mac.NewReceiverSide(payloadBytes)
 		} else {
-			st.macRx.Reset(payloadBytes)
+			sh.macRx.Reset(payloadBytes)
 		}
-		if st.rx == nil {
-			st.rx = new(phy.Receiver)
-		}
-		st.link = phy.Link{}
-		st.lastLux = math.Inf(-1)
-		st.remote, st.reported = 0, false
-		st.sumAcc, st.sumN = 0, 0
-		st.out.ackSeqs = st.out.ackSeqs[:0]
-		st.out.newSeqs = st.out.newSeqs[:0]
-		st.out.stats = phy.Stats{}
-		st.out.ambient, st.out.hasAmbient = 0, false
-		st.profTx, st.profHunt, st.profDecode = nil, nil, nil
-		st.spanBuf.Reset()
-		st.logBuf.Reset()
+		sh.link = phy.Link{}
+		sh.lastLux = math.Inf(-1)
+		sh.mon = nil
+		sh.prof = rxProf{}
+		sh.out.reset()
+		sh.spanBuf.Reset()
+		sh.logBuf.Reset()
+		sh.remote, sh.reported = 0, false
+		sh.sumAcc, sh.sumN = 0, 0
 	}
-	return rxs
+	return shards
 }
 
 // rentRoots returns the reset frame-root ring when spans are armed, and

@@ -1,17 +1,14 @@
 package sim
 
 import (
-	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
-	"smartvlc/internal/frame"
 	"smartvlc/internal/light"
 	"smartvlc/internal/mac"
 	"smartvlc/internal/optics"
-	"smartvlc/internal/parallel"
-	"smartvlc/internal/phy"
 	"smartvlc/internal/stats"
 	"smartvlc/internal/telemetry"
 	"smartvlc/internal/telemetry/health"
@@ -40,15 +37,16 @@ func (p ReceiverPose) scale() float64 {
 // BroadcastConfig extends Config to several receivers under one
 // luminaire — the paper's architecture (Fig. 2) has receivers plural:
 // each senses ambient light and acknowledges frames over the Wi-Fi
-// uplink. The embedded Config's Geometry is ignored.
+// uplink. The embedded Config's Geometry is ignored, and RunBroadcast
+// rejects the single-link facilities Flight, Watch and UplinkVLCBitRate.
 type BroadcastConfig struct {
 	Config
 	// Receivers lists the receiver poses; at least one is required.
 	Receivers []ReceiverPose
 	// Workers bounds the goroutines used for the per-receiver PHY work of
 	// each frame window. Zero or one keeps the session single-threaded; a
-	// negative value selects GOMAXPROCS. Results and telemetry are
-	// byte-identical for every value — see the fan-out below.
+	// negative value selects GOMAXPROCS. Results and every snapshot are
+	// byte-identical for every value.
 	Workers int
 }
 
@@ -120,515 +118,127 @@ func RunBroadcast(cfg BroadcastConfig, duration float64) (BroadcastResult, error
 	return NewArena().RunBroadcast(cfg, duration)
 }
 
+// runBroadcast is RunBroadcast's policy on the shared session engine:
+// one receiver shard per desk. The dimming controller follows the
+// darkest desk's last ambient report, and a frame counts once every
+// receiver has acknowledged it.
 func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastResult, error) {
 	if len(cfg.Receivers) == 0 {
 		return BroadcastResult{}, fmt.Errorf("sim: broadcast needs at least one receiver")
 	}
-	if cfg.Scheme == nil || duration <= 0 || cfg.PayloadBytes <= 0 {
-		return BroadcastResult{}, fmt.Errorf("sim: invalid broadcast config")
+	var unsupported []string
+	if cfg.Flight != nil {
+		unsupported = append(unsupported, "Config.Flight")
 	}
-	for _, p := range cfg.Receivers {
-		if err := p.Geometry.Validate(); err != nil {
-			return BroadcastResult{}, err
-		}
+	if cfg.Watch != nil {
+		unsupported = append(unsupported, "Config.Watch")
 	}
-
-	nRx := len(cfg.Receivers)
-	a.reseed(cfg.Seed, 0xC0FFEE, 0x51DE2, 0xACED2)
-	sender, err := a.rentSender(cfg.Window, cfg.PayloadBytes, cfg.AckTimeoutSeconds)
+	if cfg.UplinkVLCBitRate > 0 {
+		unsupported = append(unsupported, "Config.UplinkVLCBitRate")
+	}
+	if len(unsupported) > 0 {
+		return BroadcastResult{}, fmt.Errorf("sim: broadcast sessions do not support %s", strings.Join(unsupported, ", "))
+	}
+	s, err := a.open(cfg.Config, duration, broadcastMode, cfg.Receivers, cfg.Workers)
 	if err != nil {
 		return BroadcastResult{}, err
 	}
-	side := a.rentSideChannel(cfg.SideLatencySeconds, cfg.SideJitterSeconds, cfg.SideLossProb)
-
-	// Span collection. The flight recorder is a single-receiver facility
-	// (Config.Flight is ignored here); spans cover the broadcast fan-out
-	// fully, one decode subtree per receiver.
-	col := cfg.Spans
-	side.Spans = col
-
-	// Instrumentation: with a nil registry every handle below is nil and
-	// every recording call is a no-op (see internal/telemetry). All
-	// receivers share one set of PHY instruments; per-receiver splits ride
-	// on the event trace's sequence field instead of label cardinality.
-	reg := cfg.Telemetry
-	txm := phy.NewTxMetrics(reg)
-	rxm := phy.NewRxMetrics(reg)
-	macm := mac.NewMetrics(reg)
-	sender.Metrics = macm
-	side.Metrics = macm
-
-	// Structured log handle: the sender and the sequential phases of the
-	// loop write the logger directly (program order is deterministic);
-	// receiver-side records buffer on each shard and splice in receiver
-	// order below.
-	lg := cfg.Logs
-	sender.Log = lg
-	reg.Help("sim_frame_airtime_slots", "Per-frame on-air length in slots, idle gap included.")
-	reg.Help("sim_reliable_goodput_bps", "Payload rate acknowledged by every receiver.")
-	framesTx := reg.Counter("sim_frames_tx_total")
-	airtimeH := reg.Histogram("sim_frame_airtime_slots")
-	levelG := reg.Gauge("sim_dimming_level")
-
-	var controller *light.Controller
-	if cfg.Trace != nil {
-		stepper := cfg.Stepper
-		if stepper == nil {
-			stepper = light.PerceivedStepper{TauP: light.DefaultTauP}
-		}
-		controller, err = light.NewController(cfg.TargetSum, stepper)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		controller.Metrics = light.NewMetrics(reg)
-	}
-
-	// Per-receiver shards (see bcRxState): each owns its rng, link,
-	// receiver and outbox, rented warm from the arena.
-	rxs := a.rentBcReceivers(nRx, cfg.Seed, cfg.PayloadBytes)
-	if lg != nil {
-		for _, st := range rxs {
-			st.logBuf.Arm(lg.Min())
-		}
-	}
-	ensure := func(i int, lux float64) error {
-		st := rxs[i]
-		if st.lastLux > 0 && math.Abs(lux-st.lastLux) <= 0.02*st.lastLux {
-			return nil
-		}
-		ch, err := cfg.Budget.ChannelAt(cfg.Receivers[i].Geometry, lux)
-		if err != nil {
-			return err
-		}
-		st.link = phy.DefaultLink(ch)
-		st.link.Metrics = txm
-		st.rx.Reset(ch, cfg.Scheme.Factory())
-		st.rx.Metrics = rxm
-		rxm.OnChannel(st.rx.Threshold())
-		st.lastLux = lux
-		return nil
-	}
+	defer s.close()
+	nRx := len(s.shards)
+	s.reg.Help("sim_reliable_goodput_bps", "Payload rate acknowledged by every receiver.")
 
 	// Reliable multicast bookkeeping: which receivers acked each frame,
 	// which frames every receiver has acked, and each sequence number's
-	// first transmission time — ring/bitmap-backed over the 16-bit
-	// sequence space instead of the maps they replace, so steady-state
-	// sessions stop growing the heap with traffic.
+	// first transmission time (the origin of a receiver's ACK latency,
+	// spanning retransmissions) — ring/bitmap-backed over the 16-bit
+	// sequence space, so steady-state sessions stop growing the heap with
+	// traffic.
 	acked, complete, firstTx := a.rentBcBookkeeping(nRx)
 	reliableBytes := int64(0)
 
-	level := cfg.FixedLevel
-	a.codecs.reset(cfg.Scheme)
-	smoothed, smoothedSet := 0.0, false
-	lastT := 0.0
-
-	// Stage-profiler handles, cached per dimming level. The frame/mac
-	// stages carry shard "" (they run once per frame on the sequential
-	// path); the PHY stages carry shard "rx<i>" so the profile attributes
-	// receiver-side cost per desk. The pprof label context is pre-built per
-	// level and switched with SetLabels, which allocates nothing per frame.
-	schemeName := cfg.Scheme.Name()
-	seedStr := strconv.FormatUint(cfg.Seed, 10)
-	if lg.Enabled(vlog.Info) {
-		lg.Record(vlog.Record{
-			At: 0, Level: vlog.Info, Stage: "sim/session", Msg: "session start", Seq: -1,
-			Scheme: schemeName, Dim: fmtAttr(level),
-			Attrs: []vlog.Attr{
-				{Key: "seed", Value: seedStr},
-				{Key: "window", Value: strconv.Itoa(cfg.Window)},
-				{Key: "payload_bytes", Value: strconv.Itoa(cfg.PayloadBytes)},
-				{Key: "receivers", Value: strconv.Itoa(nRx)},
-			},
-		})
-	}
-	// Keyed by the raw float level, like the codec cache: rendering the
-	// level label per frame would allocate in the armed hot loop.
-	bcProfCache := a.rentBcProfCache()
-	var curProf *bcLevelProf
-	var profSymbols int64 // read by processRx; written only between fan-outs
-
-	// One persistent pool per session when parallel receivers are asked
-	// for: Workers 0 and 1 stay on the caller's goroutine, negative picks
-	// GOMAXPROCS, and the count never exceeds the receiver fan-out.
-	workers := cfg.Workers
-	if workers < 0 {
-		workers = parallel.Workers(0)
-	}
-	if workers > nRx {
-		workers = nRx
-	}
-	var pool *parallel.Pool
-	if workers > 1 {
-		if cfg.Prof != nil {
-			// Label the pooled workers once at spawn so wall-clock CPU
-			// profiles attribute broadcast PHY shards to this session.
-			pool = parallel.NewPoolLabeled(workers,
-				"session", seedStr, "scheme", schemeName, "stage", "phy.rx")
-		} else {
-			pool = parallel.NewPool(workers)
-		}
-		defer pool.Close()
-	}
-
 	var res BroadcastResult
-	slotBuf := a.slotBuf // frame slot waveform, reused across frames
-	a.vSlotLen = 0
-	now := 0.0
 	lastRecord := -1.0
-
-	// Span state (see Config.Spans): per-sequence roots for retransmit
-	// chaining and the sample duration for receiver-side span times.
-	tsamp := 8e-6 / float64(phy.Oversample)
-	roots := a.rentRoots(col != nil)
-	prevRetx := 0
-
-	// Per-receiver health monitors (nil entries are no-ops). Every
-	// observation happens in the sequential phases of the loop — never
-	// inside processRx — which is what keeps the series worker-count
-	// invariant. firstTx records each sequence number's first transmission
-	// so a receiver's ACK latency spans retransmissions.
-	mons := make([]*health.Monitor, nRx)
-	if cfg.Health != nil {
-		for i := range mons {
-			hc := *cfg.Health
-			if hc.TSlotSeconds <= 0 {
-				hc.TSlotSeconds = 8e-6
-			}
-			if hc.Registry == nil {
-				hc.Registry = reg
-			}
-			hc.Link = "rx" + strconv.Itoa(i)
-			if lg != nil {
-				userAlert := hc.OnAlert
-				hc.OnAlert = func(t health.Transition) {
-					if userAlert != nil {
-						userAlert(t)
-					}
-					// All health observations run on the sequential phases of
-					// the loop, so these records land in deterministic order
-					// like the single-receiver path's.
-					if lv := sloLogLevel(t.To); lg.Enabled(lv) {
-						lg.Record(vlog.Record{
-							At: t.At, Level: lv, Stage: "sim/slo",
-							Msg: "slo " + t.Objective + ": " + t.From.String() + " -> " + t.To.String(),
-							Seq: -1, Shard: t.Link, Scheme: schemeName, Dim: fmtAttr(level),
-							Attrs: []vlog.Attr{
-								{Key: "burn_fast", Value: fmtAttr(t.BurnFast)},
-								{Key: "burn_slow", Value: fmtAttr(t.BurnSlow)},
-								{Key: "value", Value: fmtAttr(t.Value)},
-								{Key: "target", Value: fmtAttr(t.Target)},
-							},
-						})
-					}
-				}
-			}
-			mons[i] = health.NewMonitor(hc)
-		}
-	}
-
-	for now < duration {
-		for _, m := range mons {
-			m.Tick(now)
-		}
-		baseLux := cfg.AmbientLux
-		if cfg.Trace != nil {
-			baseLux = cfg.Trace.LuxAt(now)
+	for s.now < duration {
+		baseLux, err := s.tick()
+		if err != nil {
+			return BroadcastResult{}, err
 		}
 		// The controller follows the minimum ambient across desks, using
 		// remote reports where available.
 		minAmb := math.Inf(1)
-		for i, p := range cfg.Receivers {
-			lux := baseLux * p.scale()
-			if err := ensure(i, lux); err != nil {
-				return BroadcastResult{}, err
-			}
-			amb := light.Normalize(lux, cfg.FullLEDLux)
-			if rxs[i].reported {
-				amb = light.Normalize(rxs[i].remote, cfg.FullLEDLux)
+		for _, sh := range s.shards {
+			amb := light.Normalize(baseLux*sh.scale, cfg.FullLEDLux)
+			if sh.reported {
+				amb = light.Normalize(sh.remote, cfg.FullLEDLux)
 			}
 			minAmb = math.Min(minAmb, amb)
 		}
-		if !smoothedSet {
-			smoothed, smoothedSet = minAmb, true
-		} else {
-			alpha := 1 - math.Exp(-(now-lastT)/0.2)
-			smoothed += alpha * (minAmb - smoothed)
-		}
-		lastT = now
-		if controller != nil {
-			prevLevel := level
-			level, _ = controller.StepToward(smoothed)
-			if level != prevLevel && lg.Enabled(vlog.Debug) {
-				lg.Record(vlog.Record{
-					At: now, Level: vlog.Debug, Stage: "sim/dim",
-					Msg: "dimming level adjusted", Seq: -1,
-					Scheme: schemeName, Dim: fmtAttr(level),
-					Attrs: []vlog.Attr{{Key: "from", Value: fmtAttr(prevLevel)}},
-				})
-			}
-		}
-		levelG.Set(level)
-		for _, m := range mons {
-			m.ObserveLevel(now, level)
-		}
+		s.adapt(minAmb, 0.2)
 
-		if now-lastRecord >= 0.25 {
-			lastRecord = now
-			res.LED.Add(now, level)
-			for i, p := range cfg.Receivers {
-				amb := light.Normalize(baseLux*p.scale(), cfg.FullLEDLux)
-				rxs[i].sumAcc += amb + level
-				rxs[i].sumN++
+		if s.now-lastRecord >= 0.25 {
+			lastRecord = s.now
+			res.LED.Add(s.now, s.level)
+			for _, sh := range s.shards {
+				sh.sumAcc += light.Normalize(baseLux*sh.scale, cfg.FullLEDLux) + s.level
+				sh.sumN++
 			}
 		}
 
-		for _, m := range side.Receive(now) {
+		for _, m := range s.side.Receive(s.now) {
 			switch m.Kind {
 			case mac.KindAck:
-				if complete.has(m.Seq) {
+				if complete.has(m.Seq) || acked.add(m.Seq, m.From) < nRx {
 					continue
 				}
-				if acked.add(m.Seq, m.From) == nRx {
-					complete.set(m.Seq)
-					acked.drop(m.Seq)
-					reliableBytes += int64(cfg.PayloadBytes)
-					if lat, known := sender.OnAckAt(m.Seq, m.At); known && macm != nil {
-						macm.AckLatency.AttachExemplar(lat, telemetry.Exemplar{
-							At: m.At, Seq: int64(m.Seq), Span: int64(roots.get(m.Seq)),
-						})
-					}
-					// Every receiver has delivered (and been observed) by
-					// the time the last ACK lands; the latency origin can go.
-					firstTx.drop(m.Seq)
-					reg.Emit(m.At, "frame/ack", int64(m.Seq))
-					if col != nil {
-						col.Record(span.Span{
-							Name: "mac/ack", Parent: roots.get(m.Seq), Seq: int64(m.Seq),
-							Start: m.At, End: m.At,
-						})
-					}
-				}
+				complete.set(m.Seq)
+				acked.drop(m.Seq)
+				reliableBytes += int64(cfg.PayloadBytes)
+				lat, known := s.sender.OnAckAt(m.Seq, m.At)
+				// Every receiver has delivered (and been observed) by the
+				// time the last ACK lands; the latency origin can go.
+				firstTx.drop(m.Seq)
+				s.recordAck(m, lat, known)
 			case mac.KindAmbientReport:
-				rxs[m.From].remote, rxs[m.From].reported = m.Lux, true
+				s.shards[m.From].remote, s.shards[m.From].reported = m.Lux, true
 			}
 		}
 
-		seq, body, ok := sender.NextFrame(now)
+		seq, body, ok := s.sender.NextFrame(s.now)
 		if !ok {
-			now += cfg.AckTimeoutSeconds / 8
+			s.now += cfg.AckTimeoutSeconds / 8
 			continue
 		}
-		reg.Emit(now, "frame/build", int64(seq))
-		codec, err := a.codecs.codecFor(level)
-		if err != nil {
+		if err := s.transmit(seq, body); err != nil {
 			return BroadcastResult{}, err
 		}
-		if cfg.Prof != nil {
-			lp := bcProfCache[level]
-			if lp == nil {
-				ll := prof.LevelLabel(level)
-				lp = &bcLevelProf{
-					frame: cfg.Prof.Stage("sim.frame", schemeName, ll, ""),
-					mac:   cfg.Prof.Stage("mac.frame", schemeName, ll, ""),
-					rx:    make([]bcRxProf, nRx),
-					labels: parallel.LabelContext("session", seedStr,
-						"scheme", schemeName, "level", ll, "stage", "sim.frame"),
-				}
-				for i := range lp.rx {
-					shard := "rx" + strconv.Itoa(i)
-					lp.rx[i] = bcRxProf{
-						tx:     cfg.Prof.Stage("phy.tx", schemeName, ll, shard),
-						hunt:   cfg.Prof.Stage("phy.hunt", schemeName, ll, shard),
-						decode: cfg.Prof.Stage("phy.decode", schemeName, ll, shard),
-					}
-				}
-				if ps, okS := codec.(interface{ PayloadSymbols(int) int }); okS {
-					lp.symbols = int64(ps.PayloadSymbols(mac.SeqBytes + cfg.PayloadBytes))
-				}
-				bcProfCache[level] = lp
-			}
-			if lp != curProf {
-				curProf = lp
-				parallel.SetLabels(lp.labels)
-				sender.Prof = lp.mac
-				profSymbols = lp.symbols
-				for i, st := range rxs {
-					st.profTx, st.profHunt, st.profDecode = lp.rx[i].tx, lp.rx[i].hunt, lp.rx[i].decode
-				}
-			}
-		}
-		slots, err := frame.BuildAppend(slotBuf[:0], codec, body)
-		if err != nil {
-			return BroadcastResult{}, err
-		}
-		slots = frame.AppendIdle(slots, codec.Level(), cfg.IdleGapSlots)
-		slotBuf = slots
-		grew := a.frameAlloc(len(slots))
-		if grew && lg.Enabled(vlog.Debug) {
-			// Keyed on the virtual high-water mark, so warm arena runs log
-			// the same growth events a fresh run would.
-			lg.Record(vlog.Record{
-				At: now, Level: vlog.Debug, Stage: "sim/arena",
-				Msg: "frame slot scratch grew", Seq: int64(seq),
-				Attrs: []vlog.Attr{{Key: "slots", Value: strconv.Itoa(len(slots))}},
-			})
-		}
-		if curProf != nil {
-			curProf.frame.Ops(1)
-			curProf.frame.Slots(int64(len(slots)))
-			curProf.frame.Bytes(int64(len(body)))
-			curProf.frame.Symbols(curProf.symbols)
-			if grew {
-				curProf.frame.Allocs(1)
-			}
-		}
-		airtime := float64(len(slots)) * 8e-6
-		framesTx.Inc()
-		airtimeH.Observe(float64(len(slots)))
-		reg.Emit(now, "frame/tx", int64(seq))
-
-		retx := sender.Retransmits() > prevRetx
-		prevRetx = sender.Retransmits()
-		if !retx {
+		if !s.retx {
 			// A fresh sequence number supersedes any prior incarnation
 			// (post-wrap reuse): forget its completed/acked state so late
 			// bookkeeping from the old incarnation can't leak into the new
 			// one. Before the seq space wraps these are no-ops.
 			complete.clear(seq)
 			acked.drop(seq)
-			firstTx.set(seq, now)
+			firstTx.set(seq, s.now)
 		}
-		for _, m := range mons {
-			m.ObserveTx(now, len(slots), retx)
-		}
-		var root span.ID
-		if col != nil {
-			parent := span.ID(0)
-			if retx {
-				parent = roots.get(seq)
-			}
-			desc := codec.Descriptor()
-			root = col.Record(span.Span{
-				Name: "frame", Parent: parent, Seq: int64(seq),
-				Start: now, End: now + airtime,
-				Attrs: []span.Attr{
-					{Key: "level", Value: strconv.FormatFloat(level, 'g', -1, 64)},
-					{Key: "scheme", Value: cfg.Scheme.Name()},
-					{Key: "pattern", Value: hex.EncodeToString(desc[:])},
-					{Key: "slots", Value: strconv.Itoa(len(slots))},
-				},
-			})
-			roots.set(seq, root)
-			col.Record(span.Span{Name: "frame/build", Parent: root, Seq: int64(seq), Start: now, End: now})
-			if retx {
-				col.Record(span.Span{Name: "mac/retx", Parent: root, Seq: int64(seq), Start: now, End: now})
-			}
-			col.Record(span.Span{Name: "frame/tx", Parent: root, Seq: int64(seq), Start: now, End: now + airtime})
-		}
-		airtimeH.AttachExemplar(float64(len(slots)),
-			telemetry.Exemplar{At: now, Seq: int64(seq), Span: int64(root)})
-
-		// Per-receiver PHY + decode: each receiver owns its rng, link,
-		// receiver state and outbox, so the bodies are independent. The
-		// only shared state they touch is the PHY metrics counters, whose
-		// atomic adds commute — a snapshot cannot tell in which order they
-		// landed. Everything order-sensitive (side-channel sends drawing on
-		// sideRng, trace emits) goes through the outbox replay below.
-		processRx := func(i int) {
-			st := rxs[i]
-			st.out = rxOutbox{ackSeqs: st.out.ackSeqs[:0], newSeqs: st.out.newSeqs[:0]}
-			// Stage-cost attribution: all prof adds are commuting atomics, so
-			// they may run inside the concurrent fan-out without affecting
-			// snapshot bytes. ensure() rebuilds link/rx on lux moves, so the
-			// handles are (re)attached per frame. Nil handles no-op.
-			st.link.Prof = st.profTx
-			st.rx.SetProf(st.profHunt, st.profDecode)
-			st.link.StartPhase = st.rng.Float64()
-			samples := st.link.TransmitPCG(st.pcg, slots)
-			if col != nil {
-				// Shard-local span sequence: channel first, then whatever
-				// hunt/decode spans the receiver emits. Parent 0 and Seq -1
-				// resolve to this frame's root at splice time.
-				st.spanBuf.Reset()
-				st.spanBuf.Record(span.Span{
-					Name: "frame/channel", Seq: -1,
-					Start: now, End: now + float64(len(samples))*tsamp,
-				})
-				st.rx.SetSpanWindow(&st.spanBuf, now, tsamp)
-			}
-			if lg != nil {
-				// Shard-local log records: Span 0, Seq -1 and Shard ""
-				// resolve to this frame's root / seq / "rx<i>" at splice
-				// time, in the sequential merge below.
-				st.logBuf.Reset()
-				st.rx.SetLogWindow(&st.logBuf, now, tsamp)
-			}
-			results, st2 := st.rx.Process(samples)
-			st.out.stats = st2
-			if n := int64(len(results)); n > 0 {
-				st.profDecode.Symbols(profSymbols * n)
-			}
-			phy.RecycleSamples(samples)
-			for _, r := range results {
-				before := st.macRx.DeliveredPayload()
-				if gotSeq, ackIt := st.macRx.OnFrame(r.Payload); ackIt {
-					st.out.ackSeqs = append(st.out.ackSeqs, gotSeq)
-					if st.macRx.DeliveredPayload() > before {
-						st.out.newSeqs = append(st.out.newSeqs, gotSeq)
-					}
-				}
-			}
-			if counts, okA := st.rx.AmbientWindowCounts(); okA {
-				amb := counts/phy.AmbientWindowFraction - cfg.Budget.DarkCounts
-				if amb < 0 {
-					amb = 0
-				}
-				st.out.ambient = amb / cfg.Budget.AmbientCountsPerLux
-				st.out.hasAmbient = true
-			}
-		}
-		if pool != nil {
-			pool.Run(nRx, processRx)
-		} else {
-			for i := 0; i < nRx; i++ {
-				processRx(i)
-			}
-		}
-		// Deterministic merge: replay the buffered sends in receiver order,
-		// reproducing the serial loop's event and sideRng sequence exactly.
-		for i := range rxs {
-			out := &rxs[i].out
-			if col != nil {
-				col.Splice(&rxs[i].spanBuf, root, int64(seq), span.Attr{Key: "rx", Value: strconv.Itoa(i)})
-			}
-			if lg != nil {
-				lg.Splice(&rxs[i].logBuf, int64(root), int64(seq), "rx"+strconv.Itoa(i))
-			}
-			mons[i].ObserveRx(now+airtime, out.stats.FramesOK, out.stats.FramesBad,
-				out.stats.SymbolErrors, out.stats.FramesOK*cfg.PayloadBytes)
-			for _, newSeq := range out.newSeqs {
-				mons[i].ObserveDelivered(now+airtime, int64(cfg.PayloadBytes)*8)
+		// Deterministic merge in receiver order, reproducing the serial
+		// loop's span, log, event and uplink-stream sequence exactly.
+		end := s.now + s.airtime
+		for i, sh := range s.shards {
+			s.splice(i)
+			s.observeRx(i, end)
+			for _, newSeq := range sh.out.newSeqs {
+				sh.mon.ObserveDelivered(end, int64(cfg.PayloadBytes)*8)
 				if ft, known := firstTx.get(newSeq); known {
 					// Latency to this receiver's acknowledgment, from the
 					// sequence number's first transmission.
-					mons[i].ObserveAck(now+airtime, now+airtime-ft)
+					sh.mon.ObserveAck(end, end-ft)
 				}
 			}
-			for _, seq := range out.ackSeqs {
-				reg.Emit(now+airtime, "frame/decode", int64(seq))
-				side.Send(now+airtime, mac.Message{Kind: mac.KindAck, From: i, Seq: seq})
-			}
-			if out.hasAmbient {
-				side.Send(now+airtime, mac.Message{
-					Kind: mac.KindAmbientReport,
-					From: i,
-					Lux:  out.ambient,
-				})
-			}
+			s.uplink(i, end)
 		}
-		now += airtime
+		s.now = end
 	}
-	for _, m := range side.Receive(now + 1) {
+	for _, m := range s.side.Receive(s.now + 1) {
 		if m.Kind != mac.KindAck || complete.has(m.Seq) {
 			continue
 		}
@@ -638,24 +248,22 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 		}
 	}
 
-	// Hand the grown slot scratch back to the arena for the next session.
-	a.slotBuf = slotBuf
-
+	now := s.now
 	res.Duration = now
-	res.FramesSent = sender.FramesSent()
+	res.FramesSent = s.sender.FramesSent()
 	res.ReliableGoodputBps = float64(reliableBytes) * 8 / now
-	if controller != nil {
-		res.Adjustments = controller.Adjustments()
+	if s.controller != nil {
+		res.Adjustments = s.controller.Adjustments()
 	}
-	for i := range rxs {
+	for _, sh := range s.shards {
 		o := ReceiverOutcome{
-			DeliveredBps: float64(rxs[i].macRx.DeliveredPayload()) * 8 / now,
+			FramesOK:     int(sh.macRx.DeliveredPayload()) / cfg.PayloadBytes,
+			DeliveredBps: float64(sh.macRx.DeliveredPayload()) * 8 / now,
+			Health:       sh.mon.Finish(now),
 		}
-		if rxs[i].sumN > 0 {
-			o.MeanSum = rxs[i].sumAcc / float64(rxs[i].sumN)
+		if sh.sumN > 0 {
+			o.MeanSum = sh.sumAcc / float64(sh.sumN)
 		}
-		o.FramesOK = int(rxs[i].macRx.DeliveredPayload()) / cfg.PayloadBytes
-		o.Health = mons[i].Finish(now)
 		res.PerReceiver = append(res.PerReceiver, o)
 	}
 	if cfg.Health != nil {
@@ -665,33 +273,13 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 		}
 		res.Health = health.Merge(perRx...)
 	}
-	if cfg.Prof != nil {
-		// Mirror stage totals into the registry before the snapshot, so
-		// telemetry.Merge carries the profile fleet-wide.
-		cfg.Prof.Publish(reg)
-		res.Prof = cfg.Prof.Snapshot()
-	}
-	if reg != nil {
-		reg.Gauge("sim_reliable_goodput_bps").Set(res.ReliableGoodputBps)
-		reg.Gauge("sim_duration_seconds").Set(res.Duration)
-		res.Telemetry = reg.Snapshot()
-	}
-	if col != nil {
-		res.Spans = col.Snapshot()
-	}
-	if lg != nil {
-		if lg.Enabled(vlog.Info) {
-			lg.Record(vlog.Record{
-				At: now, Level: vlog.Info, Stage: "sim/session", Msg: "session end", Seq: -1,
-				Scheme: schemeName, Dim: fmtAttr(level),
-				Attrs: []vlog.Attr{
-					{Key: "reliable_goodput_bps", Value: fmtAttr(res.ReliableGoodputBps)},
-					{Key: "frames_sent", Value: strconv.Itoa(res.FramesSent)},
-					{Key: "receivers", Value: strconv.Itoa(nRx)},
-				},
-			})
+	res.Telemetry, res.Spans, res.Prof = s.finish(now, "sim_reliable_goodput_bps", res.ReliableGoodputBps)
+	res.Logs = s.logEnd(func() []vlog.Attr {
+		return []vlog.Attr{
+			{Key: "reliable_goodput_bps", Value: fmtAttr(res.ReliableGoodputBps)},
+			{Key: "frames_sent", Value: strconv.Itoa(res.FramesSent)},
+			{Key: "receivers", Value: strconv.Itoa(nRx)},
 		}
-		res.Logs = lg.Snapshot()
-	}
+	})
 	return res, nil
 }

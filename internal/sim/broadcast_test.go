@@ -2,10 +2,14 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"smartvlc/internal/light"
 	"smartvlc/internal/optics"
+	"smartvlc/internal/telemetry"
+	"smartvlc/internal/telemetry/agg"
+	"smartvlc/internal/telemetry/flight"
 )
 
 func broadcastConfig(t *testing.T, poses ...ReceiverPose) BroadcastConfig {
@@ -25,8 +29,36 @@ func TestBroadcastValidation(t *testing.T) {
 		t.Fatal("bad geometry accepted")
 	}
 	cfg = broadcastConfig(t, ReceiverPose{Geometry: optics.Aligned(2, 0)})
-	if _, err := RunBroadcast(cfg, 0); err == nil {
-		t.Fatal("zero duration accepted")
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunBroadcast(cfg, d); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
+	}
+
+	// The single-link facilities are refused by name, never ignored.
+	rec, err := flight.New(flight.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := agg.New(agg.Config{WindowSeconds: 0.05}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, err := ag.Feed(agg.SessionMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, arm := range map[string]func(*Config){
+		"Config.Flight":           func(c *Config) { c.Flight = rec },
+		"Config.Watch":            func(c *Config) { c.Telemetry, c.Watch = telemetry.New(), feed },
+		"Config.UplinkVLCBitRate": func(c *Config) { c.UplinkVLCBitRate = 10e3 },
+	} {
+		cfg := broadcastConfig(t, ReceiverPose{Geometry: optics.Aligned(2, 0)})
+		arm(&cfg.Config)
+		_, err := RunBroadcast(cfg, 0.05)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("broadcast with %s: error %v, want one naming it", name, err)
+		}
 	}
 }
 

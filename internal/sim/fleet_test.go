@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"smartvlc/internal/telemetry"
+	"smartvlc/internal/telemetry/flight"
 )
 
 // fleetConfigs builds n independent instrumented sessions with distinct
@@ -110,7 +113,8 @@ func TestRunFleetMatchesSerialRun(t *testing.T) {
 }
 
 // TestRunFleetValidation covers the error paths: empty fleet, shared
-// registry, and a session config error surfacing as the fleet error.
+// registry or flight recorder, a duration no session can run, and a
+// session config error surfacing as the fleet error.
 func TestRunFleetValidation(t *testing.T) {
 	if _, err := RunFleet(nil, 0.3, 1); err == nil {
 		t.Fatal("empty fleet accepted")
@@ -119,6 +123,22 @@ func TestRunFleetValidation(t *testing.T) {
 	cfgs[1].Telemetry = cfgs[0].Telemetry
 	if _, err := RunFleet(cfgs, 0.3, 1); err == nil {
 		t.Fatal("shared registry accepted")
+	}
+	// Concurrent sessions sharing one recorder would write a different
+	// bundle set per run.
+	rec, err := flight.New(flight.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs = fleetConfigs(t, 3)
+	cfgs[0].Flight, cfgs[2].Flight = rec, rec
+	if _, err := RunFleet(cfgs, 0.3, 2); err == nil || !strings.Contains(err.Error(), "flight recorder") {
+		t.Fatalf("shared flight recorder: error %v", err)
+	}
+	for _, d := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunFleet(fleetConfigs(t, 2), d, 2); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
 	}
 	cfgs = fleetConfigs(t, 2)
 	cfgs[1].PayloadBytes = 0

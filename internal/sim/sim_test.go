@@ -26,8 +26,10 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("nil scheme accepted")
 	}
 	cfg := DefaultConfig(s)
-	if _, err := Run(cfg, 0); err == nil {
-		t.Fatal("zero duration accepted")
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(cfg, d); err == nil {
+			t.Fatalf("duration %v accepted", d)
+		}
 	}
 	cfg.PayloadBytes = 0
 	if _, err := Run(cfg, 1); err == nil {

@@ -385,11 +385,3 @@ func (st *Stream) Stats() StreamStats {
 		ChunkAttempts:  append([]int64(nil), st.attemptCounts...),
 	}
 }
-
-// LegacyStats returns frames sent, retransmissions, and delivered bytes.
-//
-// Deprecated: use Stats, which also reports airtime and the per-chunk
-// attempt histogram.
-func (st *Stream) LegacyStats() (frames, retries int, delivered int64) {
-	return st.framesSent, st.retries, st.bytesDelivered
-}

@@ -43,10 +43,6 @@ func TestStreamRoundTrip(t *testing.T) {
 	if want := int64(len(data)) / int64(st.ChunkBytes); chunks < want {
 		t.Fatalf("attempt histogram covers %d chunks, want ≥%d", chunks, want)
 	}
-	lf, lr, ld := st.LegacyStats()
-	if lf != stats.FramesSent || lr != stats.Retries || ld != stats.DeliveredBytes {
-		t.Fatal("LegacyStats disagrees with Stats")
-	}
 }
 
 func TestStreamIoCopy(t *testing.T) {
