@@ -96,7 +96,8 @@ type Sender struct {
 	// decisions: a Warn per timeout retransmission, a Debug per
 	// window-full stall and per accepted ACK. The sender runs on the
 	// session's main goroutine, so it writes the logger directly —
-	// records interleave deterministically with the spliced shard logs.
+	// records interleave deterministically with the receiver records the
+	// sequential merge renders.
 	// Nil (the default) is a no-op.
 	Log *vlog.Logger
 

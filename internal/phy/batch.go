@@ -20,8 +20,8 @@ import "smartvlc/internal/frame"
 
 // Batch is the receiver-owned columnar scratch of Process: the sample
 // prefix-sum column, the three-sample window column derived from it, the
-// reusable results slice and the per-frame payload buffers the decoded
-// bodies land in. It belongs to exactly one Receiver and is recycled on
+// reusable results and events slices and the per-frame payload buffers
+// the decoded bodies land in. It belongs to exactly one Receiver and is recycled on
 // every Process call — which is why Process results (and their payloads)
 // are only valid until the receiver's next Process call.
 type Batch struct {
@@ -30,6 +30,8 @@ type Batch struct {
 	win3 []int
 	// results is the slice Process returns, reused across calls.
 	results []frame.Result
+	// events holds one Event per preamble lock of the last Process call.
+	events []Event
 	// payloads holds one reusable backing buffer per decoded frame slot;
 	// payloads[k] backs results[k].Payload.
 	payloads [][]byte

@@ -94,12 +94,67 @@ func TestProcessMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(gotStats, wantStats) {
 			t.Fatalf("%s: stats diverge: fast %+v ref %+v", s.name, gotStats, wantStats)
 		}
+		checkEvents(t, fastRx.Events(), gotStats)
 		if fa, fok := fastRx.AmbientWindowCounts(); true {
 			ra, rok := refRx.AmbientWindowCounts()
 			if fa != ra || fok != rok {
 				t.Fatalf("%s: ambient estimate diverges: fast (%v,%v) ref (%v,%v)", s.name, fa, fok, ra, rok)
 			}
 		}
+	}
+}
+
+// checkEvents pins a Process call's events to its Stats: ok events count
+// FramesOK, failed ones FramesBad (and tally Errors by text), and the ok
+// events' symbol errors sum to SymbolErrors. It also pins their order: a
+// lock lies at most one sample before its hunt began (lockOffset may step
+// back one sample from where the preamble first passed), locks never
+// decrease, and a clean decode moves the next lock past it.
+func checkEvents(t *testing.T, events []Event, st Stats) {
+	t.Helper()
+	ok, bad, symErrs := 0, 0, 0
+	errs := map[string]int{}
+	for i, e := range events {
+		if e.From > e.Lock+1 {
+			t.Fatalf("event %d locks at %d, before its hunt began at %d", i, e.Lock, e.From)
+		}
+		if i > 0 {
+			if prev := events[i-1]; e.Lock < prev.Lock || (prev.Err == nil && e.Lock == prev.Lock) {
+				t.Fatalf("event %d locks at %d after %+v", i, e.Lock, prev)
+			}
+		}
+		if e.Err != nil {
+			bad++
+			errs[e.Err.Error()]++
+			continue
+		}
+		ok++
+		symErrs += e.SymbolErrors
+	}
+	if ok != st.FramesOK || bad != st.FramesBad || symErrs != st.SymbolErrors {
+		t.Fatalf("events give %d ok, %d bad, %d symbol errors; stats %+v", ok, bad, symErrs, st)
+	}
+	if len(errs) != len(st.Errors) || (len(errs) > 0 && !reflect.DeepEqual(errs, st.Errors)) {
+		t.Fatalf("event errors %v, stats %v", errs, st.Errors)
+	}
+}
+
+// TestResetClearsEvents: a receiver reset for a new channel, or rented
+// from the pool, reports no events of its previous life.
+func TestResetClearsEvents(t *testing.T) {
+	link, ch, factory, sch := eqOperatingPoint(t)
+	samples := link.TransmitPCG(rand.NewPCG(3, 4), eqFrameStream(t, sch, 0.5, 2, 80, 5))
+	defer RecycleSamples(samples)
+	rx := NewReceiver(ch, factory)
+	if _, st := rx.Process(samples); st.FramesOK == 0 || len(rx.Events()) == 0 {
+		t.Fatalf("clean stream left %d events, stats %+v", len(rx.Events()), st)
+	}
+	rx.Reset(ch, factory)
+	if n := len(rx.Events()); n != 0 {
+		t.Fatalf("reset receiver reports %d stale events", n)
+	}
+	if _, st := rx.Process(make([]int, 4000)); st.FramesOK+st.FramesBad != 0 || len(rx.Events()) != 0 {
+		t.Fatalf("dark air left %d events, stats %+v", len(rx.Events()), st)
 	}
 }
 

@@ -70,14 +70,10 @@ var decodeErrorClasses = []struct {
 	{frame.ErrPayloadTooLong, "payload_len"},
 }
 
-// ClassifyDecodeError maps a frame.Parse error onto the bounded decode
-// error class set shared by metrics, spans and the flight recorder:
+// classifyDecodeError maps a frame.Parse error onto the bounded decode
+// error class set shared by metrics, spans, logs and the flight recorder:
 // "preamble", "manchester", "truncated", "sync", "crc", "payload_len" or
-// "other". The same classification runs at record time and at bundle
-// replay time, so a replayed anomaly can be compared class-for-class.
-func ClassifyDecodeError(err error) string { return classifyDecodeError(err) }
-
-// classifyDecodeError maps a frame.Parse error to its metric class.
+// "other".
 func classifyDecodeError(err error) string {
 	for _, c := range decodeErrorClasses {
 		if errors.Is(err, c.err) {
@@ -87,7 +83,8 @@ func classifyDecodeError(err error) string {
 	return "other"
 }
 
-// RxMetrics instruments Receiver.Process. A nil *RxMetrics is a no-op.
+// RxMetrics counts receiver outcomes, folded from Receiver.Events by
+// Observe. A nil *RxMetrics is a no-op.
 type RxMetrics struct {
 	// PreambleLocks counts accepted preamble positions (locked offsets),
 	// including false locks that later fail validation.
@@ -128,23 +125,22 @@ func NewRxMetrics(r *telemetry.Registry) *RxMetrics {
 	return m
 }
 
-func (m *RxMetrics) onLock() {
-	if m != nil {
-		m.PreambleLocks.Inc()
+// Observe folds one Process call's events into the counters: a lock per
+// event, then a clean frame with its symbol errors or a failed parse by
+// decode class.
+func (m *RxMetrics) Observe(events []Event) {
+	if m == nil || len(events) == 0 {
+		return
 	}
-}
-
-func (m *RxMetrics) onFrameOK(symbolErrors int) {
-	if m != nil {
+	m.PreambleLocks.Add(int64(len(events)))
+	for _, e := range events {
+		if e.Err != nil {
+			m.FramesBad.Inc()
+			m.decodeErrors[classifyDecodeError(e.Err)].Inc()
+			continue
+		}
 		m.FramesOK.Inc()
-		m.SymbolErrors.Add(int64(symbolErrors))
-	}
-}
-
-func (m *RxMetrics) onFrameBad(err error) {
-	if m != nil {
-		m.FramesBad.Inc()
-		m.decodeErrors[classifyDecodeError(err)].Inc()
+		m.SymbolErrors.Add(int64(e.SymbolErrors))
 	}
 }
 

@@ -23,15 +23,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 
 	"smartvlc/internal/frame"
 	"smartvlc/internal/hw"
 	"smartvlc/internal/photon"
 	"smartvlc/internal/telemetry/prof"
-	"smartvlc/internal/telemetry/span"
-	"smartvlc/internal/telemetry/vlog"
 )
 
 // Oversample is the RX samples per TX slot (500 kHz / 125 kHz).
@@ -298,23 +295,6 @@ type Receiver struct {
 	// thr is the detection threshold for the three-sample window.
 	thr int
 
-	// Metrics, when non-nil, counts locks, frame outcomes and decode
-	// error classes. Nil (the default) is a no-op.
-	Metrics *RxMetrics
-
-	// spans, when non-nil, receives phy/hunt and phy/decode spans for
-	// each Process call, timed on the sample clock set by SetSpanWindow.
-	spans  *span.Buffer
-	spanAt float64 // sim time of samples[0]
-	spanDt float64 // seconds per sample
-
-	// logs, when non-nil, receives structured log records for hunt and
-	// decode outcomes, timed on its own sample clock set by SetLogWindow
-	// (logs arm independently of spans).
-	logs  *vlog.Buffer
-	logAt float64 // sim time of samples[0]
-	logDt float64 // seconds per sample
-
 	// profHunt/profDecode, when non-nil, attribute receive cost to the
 	// owning stage profiler series: hunt counts Process invocations,
 	// samples scanned and scratch growth; decode counts parse attempts,
@@ -400,16 +380,12 @@ func NewReceiver(ch photon.Channel, factory frame.CodecFactory) *Receiver {
 
 // Reset reconfigures the receiver for a channel operating point exactly
 // as NewReceiver would, clearing all decode state (ambient estimate,
-// metrics, span window) while keeping the scratch columns — the pooled-
-// receiver fast path behind AcquireReceiver.
+// events, profiler handles) while keeping the scratch columns — the
+// pooled-receiver fast path behind AcquireReceiver.
 func (r *Receiver) Reset(ch photon.Channel, factory frame.CodecFactory) {
 	r.factory = factory
 	r.thr = thresholdFor(ch)
-	r.Metrics = nil
-	r.spans = nil
-	r.spanAt, r.spanDt = 0, 0
-	r.logs = nil
-	r.logAt, r.logDt = 0, 0
+	r.batch.events = r.batch.events[:0]
 	r.profHunt, r.profDecode = nil, nil
 	r.ambientEMA, r.ambientSet = 0, false
 	r.vWin3, r.vSlot, r.vPayloads = 0, 0, 0
@@ -565,44 +541,10 @@ func (s *Stats) count(err error) {
 	s.Errors[err.Error()]++
 }
 
-// SetSpanWindow attaches a span buffer for subsequent Process calls and
-// sets the clock that maps sample index i to simulation time
-// baseSeconds + i·sampleSeconds. Process records one "phy/hunt" span per
-// accepted preamble lock (the scan interval that found it) and one
-// "phy/decode" span per parse attempt, carrying the decode error class
-// (or "ok") as an attribute. Pass nil to detach. The buffer is filled on
-// the caller's goroutine; concurrent shards each keep their own and
-// splice in shard order for deterministic traces.
-func (r *Receiver) SetSpanWindow(b *span.Buffer, baseSeconds, sampleSeconds float64) {
-	r.spans = b
-	r.spanAt = baseSeconds
-	r.spanDt = sampleSeconds
-}
-
-// spanTime maps a sample index onto the span clock.
-func (r *Receiver) spanTime(sample int) float64 {
-	return r.spanAt + float64(sample)*r.spanDt
-}
-
-// SetLogWindow attaches a vlog shard buffer for subsequent Process calls
-// and sets the clock that maps sample index i to simulation time
-// baseSeconds + i·sampleSeconds. Process records a Debug line per
-// accepted preamble lock and per clean decode, and a Warn line per
-// failed parse carrying the decode error class — the narrative twin of
-// the phy/hunt and phy/decode spans, armable independently of them.
-// Pass nil to detach. The buffer is filled on the caller's goroutine;
-// concurrent shards each keep their own and splice in shard order for
-// deterministic logs.
-func (r *Receiver) SetLogWindow(b *vlog.Buffer, baseSeconds, sampleSeconds float64) {
-	r.logs = b
-	r.logAt = baseSeconds
-	r.logDt = sampleSeconds
-}
-
-// logTime maps a sample index onto the log clock.
-func (r *Receiver) logTime(sample int) float64 {
-	return r.logAt + float64(sample)*r.logDt
-}
+// Events returns one Event per preamble lock of the last Process call,
+// in sample order. The slice aliases the receiver's batch and stays valid
+// until the next Process or Reset.
+func (r *Receiver) Events() []Event { return r.batch.events }
 
 // AmbientWindowFraction is the slot share of the ambient-measurement
 // window (samples 1 and 2 only). Narrower than the detection window, it
@@ -677,11 +619,15 @@ func b2i(b bool) int {
 // every one of the ~500k offsets a simulated second contains. Decoded
 // frame bodies land in per-receiver reusable payload buffers.
 //
+// Each preamble lock also leaves one Event (Events) — the record every
+// observer folds; Process itself writes only the stage profiler's costs.
+//
 // The returned results — including every Payload — alias the receiver's
 // Batch and stay valid only until the next Process call on this
 // receiver. Callers that keep payloads across calls must copy them.
 func (r *Receiver) Process(samples []int) ([]frame.Result, Stats) {
 	results := r.batch.results[:0]
+	events := r.batch.events[:0]
 	var stats Stats
 	r.profHunt.Ops(1)
 	r.profHunt.Samples(int64(len(samples)))
@@ -724,21 +670,6 @@ func (r *Receiver) Process(samples []int) ([]frame.Result, Stats) {
 			continue
 		}
 		locked := lockOffset(win3, i)
-		r.Metrics.onLock()
-		if r.spans != nil {
-			r.spans.Record(span.Span{
-				Name: "phy/hunt", Seq: -1,
-				Start: r.spanTime(huntFrom), End: r.spanTime(locked),
-				Attrs: []span.Attr{{Key: "offset", Value: strconv.Itoa(locked)}},
-			})
-		}
-		if r.logs.Enabled(vlog.Debug) {
-			r.logs.Record(vlog.Record{
-				At: r.logTime(locked), Level: vlog.Debug, Stage: "phy/hunt",
-				Msg: "preamble locked", Seq: -1,
-				Attrs: []vlog.Attr{{Key: "offset", Value: strconv.Itoa(locked)}},
-			})
-		}
 		maxSlots := (len(samples) - locked) / Oversample
 		slots := r.foldSlots(win3, locked, maxSlots)
 		// Decode the frame body into the payload buffer reserved for this
@@ -758,53 +689,16 @@ func (r *Receiver) Process(samples []int) ([]frame.Result, Stats) {
 		if err != nil {
 			stats.FramesBad++
 			stats.count(err)
-			r.Metrics.onFrameBad(err)
-			if r.spans != nil {
-				r.spans.Record(span.Span{
-					Name: "phy/decode", Seq: -1,
-					Start: r.spanTime(locked),
-					End:   r.spanTime(locked + frame.PreambleSlots*Oversample),
-					Attrs: []span.Attr{{Key: "class", Value: ClassifyDecodeError(err)}},
-				})
-			}
-			if r.logs.Enabled(vlog.Warn) {
-				r.logs.Record(vlog.Record{
-					At: r.logTime(locked), Level: vlog.Warn, Stage: "phy/decode",
-					Msg: err.Error(), Seq: -1,
-					Attrs: []vlog.Attr{{Key: "class", Value: ClassifyDecodeError(err)}},
-				})
-			}
+			events = append(events, Event{From: huntFrom, Lock: locked, Err: err})
 			i++ // resume hunting just past this false/failed lock
 			huntFrom = i
 			continue
 		}
 		stats.FramesOK++
 		stats.SymbolErrors += res.SymbolErrors
-		r.Metrics.onFrameOK(res.SymbolErrors)
 		r.profDecode.Slots(int64(res.SlotsConsumed))
 		r.profDecode.Bytes(int64(len(res.Payload)))
-		if r.spans != nil {
-			r.spans.Record(span.Span{
-				Name: "phy/decode", Seq: -1,
-				Start: r.spanTime(locked),
-				End:   r.spanTime(locked + res.SlotsConsumed*Oversample),
-				Attrs: []span.Attr{
-					{Key: "class", Value: "ok"},
-					{Key: "slots", Value: strconv.Itoa(res.SlotsConsumed)},
-					{Key: "sym_errs", Value: strconv.Itoa(res.SymbolErrors)},
-				},
-			})
-		}
-		if r.logs.Enabled(vlog.Debug) {
-			r.logs.Record(vlog.Record{
-				At: r.logTime(locked), Level: vlog.Debug, Stage: "phy/decode",
-				Msg: "frame decoded", Seq: -1,
-				Attrs: []vlog.Attr{
-					{Key: "slots", Value: strconv.Itoa(res.SlotsConsumed)},
-					{Key: "sym_errs", Value: strconv.Itoa(res.SymbolErrors)},
-				},
-			})
-		}
+		events = append(events, Event{From: huntFrom, Lock: locked, Slots: res.SlotsConsumed, SymbolErrors: res.SymbolErrors})
 		results = append(results, res)
 		r.updateAmbientFromFrame(samples, locked, slots, res.SlotsConsumed)
 		// Jump to just before the expected next preamble: one slot of
@@ -818,6 +712,7 @@ func (r *Receiver) Process(samples []int) ([]frame.Result, Stats) {
 		huntFrom = i
 	}
 	r.batch.results = results
+	r.batch.events = events
 	return results, stats
 }
 

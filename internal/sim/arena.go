@@ -323,9 +323,9 @@ func (a *Arena) rentLevels() map[float64]*levelProf {
 func (a *Arena) rentShards(n int, seed, salt uint64, payloadBytes int) []*shard {
 	for i := len(a.shards); i < n; i++ {
 		a.shards = append(a.shards, &shard{
-			rx:   new(phy.Receiver),
-			name: "rx" + strconv.Itoa(i),
-			attr: span.Attr{Key: "rx", Value: strconv.Itoa(i)},
+			rx:    new(phy.Receiver),
+			name:  "rx" + strconv.Itoa(i),
+			attrs: []span.Attr{{Key: "rx", Value: strconv.Itoa(i)}},
 		})
 	}
 	shards := a.shards[:n]
@@ -346,8 +346,6 @@ func (a *Arena) rentShards(n int, seed, salt uint64, payloadBytes int) []*shard 
 		sh.mon = nil
 		sh.prof = rxProf{}
 		sh.out.reset()
-		sh.spanBuf.Reset()
-		sh.logBuf.Reset()
 		sh.remote, sh.reported = 0, false
 		sh.sumAcc, sh.sumN = 0, 0
 	}

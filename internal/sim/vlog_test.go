@@ -76,7 +76,7 @@ func TestRunLogByteIdentical(t *testing.T) {
 // TestBroadcastLogWorkerInvariance pins the tentpole acceptance matrix:
 // broadcast log snapshots are byte-identical across GOMAXPROCS {1, 4} ×
 // Workers {1, 3, -1}, arena-warm runs included. Per-receiver records are
-// buffered in shard buffers and spliced in receiver order during the
+// rendered from each receiver's events in receiver order during the
 // sequential merge, so the parallel fan-out must be invisible in the
 // NDJSON bytes.
 func TestBroadcastLogWorkerInvariance(t *testing.T) {

@@ -179,7 +179,7 @@ func TestMaxBundlesCap(t *testing.T) {
 
 // TestReplayClasses pins the offline replay: a real transmitted frame
 // replays to "ok", a noise-only window replays to "hunt" — both through
-// the real receiver pipeline.
+// the real receiver pipeline and phy.DecodeClass.
 func TestReplayClasses(t *testing.T) {
 	sch, err := scheme.NewAMPPM(amppm.DefaultConstraints())
 	if err != nil {
@@ -234,6 +234,14 @@ func TestReplayClasses(t *testing.T) {
 	}
 	if class != "hunt" {
 		t.Fatalf("noise window replayed to class %q, want hunt", class)
+	}
+
+	// The class is the last event's: "hunt" for none, else its outcome.
+	if got := phy.DecodeClass(nil); got != "hunt" {
+		t.Fatalf("no events classify as %q, want hunt", got)
+	}
+	if got := phy.DecodeClass([]phy.Event{{Lock: 10, Slots: 90}, {Lock: 400, Err: frame.ErrCRC}}); got != "crc" {
+		t.Fatalf("a trailing CRC failure classifies as %q, want crc", got)
 	}
 }
 

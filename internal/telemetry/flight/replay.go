@@ -152,30 +152,6 @@ func (b *Bundle) ReplayCapture(c Capture) (string, error) {
 		return "", err
 	}
 	rx := phy.NewReceiverWithThreshold(c.Threshold, sch.Factory())
-	tslot := b.SlotSeconds
-	if tslot <= 0 {
-		tslot = b.Meta.TSlotSeconds
-	}
-	var buf span.Buffer
-	rx.SetSpanWindow(&buf, c.Start, tslot/float64(phy.Oversample))
 	rx.Process(c.Samples)
-	return DecodeClass(buf.Spans()), nil
-}
-
-// DecodeClass extracts the decode outcome from a receiver span sequence:
-// the "class" attribute of the last "phy/decode" span, or "hunt" when the
-// receiver never locked (no decode span at all). The session loop uses
-// the same extraction at record time, so live and replayed classes are
-// directly comparable.
-func DecodeClass(spans []span.Span) string {
-	class := "hunt"
-	for _, s := range spans {
-		if s.Name != "phy/decode" {
-			continue
-		}
-		if c, ok := s.Attr("class"); ok {
-			class = c
-		}
-	}
-	return class
+	return phy.DecodeClass(rx.Events()), nil
 }

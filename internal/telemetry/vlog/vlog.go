@@ -10,14 +10,14 @@
 //   - Determinism. All timestamps are simulation time; record IDs are
 //     assigned in record order. Two identically seeded sessions produce
 //     byte-identical NDJSON snapshots — including multi-receiver
-//     sessions on any worker count or GOMAXPROCS, because per-shard
-//     records are buffered (Buffer) and replayed in shard order
-//     (Splice), the same contract as span.Buffer.
+//     sessions on any worker count or GOMAXPROCS, because the receiver
+//     records are rendered from each shard's events (phy.RecordLogs) in
+//     shard order by the session's sequential merge, like its spans.
 //
-//   - Nil is the no-op default. Every method on a nil *Logger or nil
-//     *Buffer does nothing, and Enabled reports false on nil, so hot
-//     paths guard record construction behind one branch and pay zero
-//     allocations when logging is off.
+//   - Nil is the no-op default. Every method on a nil *Logger does
+//     nothing, and Enabled reports false on nil, so hot paths guard
+//     record construction behind one branch and pay zero allocations
+//     when logging is off.
 package vlog
 
 import "sync"
@@ -90,14 +90,12 @@ type Record struct {
 	// Msg is the human-readable one-liner.
 	Msg string `json:"msg"`
 	// Seq is the frame or chunk sequence the record belongs to (-1 when
-	// the emitter cannot attribute it; a shard-buffered -1 is filled in
-	// by Splice).
+	// the emitter cannot attribute it).
 	Seq int64 `json:"seq"`
-	// Span is the collector ID of the frame's root span (0 = none; a
-	// shard-buffered 0 is filled in by Splice once the root is known).
+	// Span is the collector ID of the frame's root span (0 = none).
 	Span int64 `json:"span,omitempty"`
 	// Shard is the receiver shard ("rx0", "rx1", ...) for broadcast
-	// records; empty on single-receiver paths (filled in by Splice).
+	// records; empty on single-receiver paths.
 	Shard string `json:"shard,omitempty"`
 	// Scheme and Dim carry the modulation scheme and dimming level in
 	// force when the record was emitted, when the emitter knows them.
@@ -142,16 +140,6 @@ type Logger struct {
 // default ring capacity.
 func New(min Level) *Logger {
 	return &Logger{min: min, cap: DefaultCapacity}
-}
-
-// Min returns the logger's minimum level (Debug on nil — callers only
-// consult it through Enabled or to arm shard buffers, and a nil logger
-// arms nothing).
-func (l *Logger) Min() Level {
-	if l == nil {
-		return Debug
-	}
-	return l.min
 }
 
 // Enabled reports whether records at the given level would be kept.
@@ -210,92 +198,4 @@ func (l *Logger) record(r Record) int64 {
 	l.next = (l.next + 1) % l.cap
 	l.total++
 	return r.ID
-}
-
-// Buffer accumulates records on one shard (e.g. one receiver of a
-// parallel broadcast fan-out) without touching the logger, so concurrent
-// shards never contend or interleave. Logger.Splice later replays them
-// in shard order, which is what keeps NDJSON snapshots byte-identical
-// for any worker count. A Buffer carries its own minimum level (copied
-// from the logger when the shard is armed) so shard paths filter at
-// record time exactly like direct logger writes. A nil *Buffer is a
-// no-op. A Buffer is single-goroutine; give each shard its own.
-type Buffer struct {
-	min  Level
-	recs []Record
-}
-
-// Arm sets the buffer's minimum level, mirroring the logger it will be
-// spliced into.
-func (b *Buffer) Arm(min Level) {
-	if b != nil {
-		b.min = min
-	}
-}
-
-// Enabled reports whether records at the given level would be kept.
-// False on a nil buffer.
-func (b *Buffer) Enabled(v Level) bool {
-	return b != nil && v >= b.min
-}
-
-// Reset empties the buffer, retaining its storage and minimum level.
-func (b *Buffer) Reset() {
-	if b != nil {
-		b.recs = b.recs[:0]
-	}
-}
-
-// Len returns the number of buffered records.
-func (b *Buffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.recs)
-}
-
-// Records returns a read-only view of the buffered records, valid until
-// the next Record or Reset.
-func (b *Buffer) Records() []Record {
-	if b == nil {
-		return nil
-	}
-	return b.recs
-}
-
-// Record buffers r if its level clears the buffer's minimum.
-func (b *Buffer) Record(r Record) {
-	if b == nil || r.Level < b.min {
-		return
-	}
-	b.recs = append(b.recs, r)
-}
-
-// Splice replays a buffer's records into the logger in record order,
-// filling in the correlation keys the shard could not know: a zero Span
-// becomes spanID (the frame's root span), a negative Seq becomes seq,
-// and an empty Shard becomes shard. The buffer is reset afterwards —
-// also on a nil logger, so an unarmed splice still clears shard state.
-// Levels are not re-checked: the buffer filtered at record time against
-// the same minimum.
-func (l *Logger) Splice(b *Buffer, spanID int64, seq int64, shard string) {
-	if l == nil || b == nil {
-		b.Reset()
-		return
-	}
-	l.mu.Lock()
-	for _, r := range b.recs {
-		if r.Span == 0 {
-			r.Span = spanID
-		}
-		if r.Seq < 0 {
-			r.Seq = seq
-		}
-		if r.Shard == "" {
-			r.Shard = shard
-		}
-		l.record(r)
-	}
-	l.mu.Unlock()
-	b.Reset()
 }

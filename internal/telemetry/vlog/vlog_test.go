@@ -70,91 +70,12 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil record id=%d", id)
 	}
 	l.SetCapacity(8)
-	var b *Buffer
-	if b.Enabled(Error) {
-		t.Fatal("nil buffer enabled")
-	}
-	b.Record(Record{Level: Error})
-	b.Reset()
-	if b.Len() != 0 || b.Records() != nil {
-		t.Fatal("nil buffer not empty")
-	}
-	l.Splice(b, 1, 2, "rx0") // must not panic
 	s := l.Snapshot()
 	if len(s.Records) != 0 || s.Total != 0 {
 		t.Fatal("nil snapshot not empty")
 	}
 	if _, err := s.JSON(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSpliceFillsCorrelationKeys(t *testing.T) {
-	l := New(Debug)
-	var b Buffer
-	b.Arm(l.Min())
-	b.Record(Record{At: 1, Level: Warn, Stage: "phy/decode", Seq: -1})
-	b.Record(Record{At: 2, Level: Info, Stage: "mac/ack", Seq: 9, Span: 3, Shard: "rx7"})
-	l.Splice(&b, 42, 5, "rx1")
-	if b.Len() != 0 {
-		t.Fatal("buffer not reset after splice")
-	}
-	s := l.Snapshot()
-	if len(s.Records) != 2 {
-		t.Fatalf("len=%d", len(s.Records))
-	}
-	r0, r1 := s.Records[0], s.Records[1]
-	if r0.Span != 42 || r0.Seq != 5 || r0.Shard != "rx1" {
-		t.Fatalf("defaults not filled: %+v", r0)
-	}
-	if r1.Span != 3 || r1.Seq != 9 || r1.Shard != "rx7" {
-		t.Fatalf("explicit keys overwritten: %+v", r1)
-	}
-}
-
-func TestBufferLevelFilter(t *testing.T) {
-	var b Buffer
-	b.Arm(Warn)
-	b.Record(Record{Level: Debug})
-	b.Record(Record{Level: Error})
-	if b.Len() != 1 {
-		t.Fatalf("len=%d, want 1", b.Len())
-	}
-	if b.Enabled(Info) {
-		t.Fatal("Info enabled on a Warn buffer")
-	}
-}
-
-// TestSpliceOrderMatchesSerial pins the worker-invariance contract: a
-// shard buffer spliced after direct records reproduces the exact record
-// sequence of a serial run that interleaved them in the same order.
-func TestSpliceOrderMatchesSerial(t *testing.T) {
-	direct := New(Debug)
-	direct.Record(Record{At: 1, Level: Info, Stage: "a", Seq: 0})
-	direct.Record(Record{At: 2, Level: Info, Stage: "b", Seq: 0, Shard: "rx0"})
-	direct.Record(Record{At: 3, Level: Info, Stage: "c", Seq: 0, Shard: "rx1"})
-
-	sharded := New(Debug)
-	sharded.Record(Record{At: 1, Level: Info, Stage: "a", Seq: 0})
-	var b0, b1 Buffer
-	b0.Arm(sharded.Min())
-	b1.Arm(sharded.Min())
-	// Shards record "concurrently"; splice replays in shard order.
-	b1.Record(Record{At: 3, Level: Info, Stage: "c", Seq: -1})
-	b0.Record(Record{At: 2, Level: Info, Stage: "b", Seq: -1})
-	sharded.Splice(&b0, 0, 0, "rx0")
-	sharded.Splice(&b1, 0, 0, "rx1")
-
-	dj, err := direct.Snapshot().NDJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := sharded.Snapshot().NDJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dj, sj) {
-		t.Fatalf("serial vs sharded NDJSON differ:\n%s\nvs\n%s", dj, sj)
 	}
 }
 
@@ -238,10 +159,9 @@ func TestMergeConfigOrder(t *testing.T) {
 	}
 }
 
-// TestDisabledZeroAllocs pins the zero-cost-off contract: a nil logger,
-// a level-filtered logger behind Enabled, and a nil shard buffer must
-// all cost zero allocations per call at the call-site pattern the hot
-// paths use.
+// TestDisabledZeroAllocs pins the zero-cost-off contract: a nil logger
+// and a level-filtered logger behind Enabled must cost zero allocations
+// per call at the call-site pattern the hot paths use.
 func TestDisabledZeroAllocs(t *testing.T) {
 	var nilLogger *Logger
 	if n := testing.AllocsPerRun(100, func() {
@@ -258,23 +178,6 @@ func TestDisabledZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("level-filtered logger: %v allocs/op", n)
-	}
-	var nilBuf *Buffer
-	if n := testing.AllocsPerRun(100, func() {
-		if nilBuf.Enabled(Warn) {
-			nilBuf.Record(Record{Level: Warn, Stage: "phy/hunt", Seq: -1})
-		}
-	}); n != 0 {
-		t.Fatalf("nil buffer: %v allocs/op", n)
-	}
-	var armedBuf Buffer
-	armedBuf.Arm(Error)
-	if n := testing.AllocsPerRun(100, func() {
-		if armedBuf.Enabled(Debug) {
-			armedBuf.Record(Record{Level: Debug, Stage: "phy/hunt", Seq: -1})
-		}
-	}); n != 0 {
-		t.Fatalf("level-filtered buffer: %v allocs/op", n)
 	}
 }
 

@@ -139,10 +139,6 @@ type deliverScratch struct {
 	pcg *rand.PCG
 	rng *rand.Rand
 	rx  *phy.Receiver
-	// spanBuf is the per-call span staging buffer; it lives here (not on
-	// the stack) because taking its address in DeliverInto would force a
-	// heap allocation even on the spans-off path.
-	spanBuf span.Buffer
 }
 
 // New derives the AMPPM planning table from the constraints (paper §4.2
@@ -359,22 +355,18 @@ func (s *System) DeliverInto(rep *DeliverReport, g Geometry, ambientLux float64,
 	samples := link.TransmitPCG(sc.pcg, slots)
 	rx := sc.rx
 	rx.Reset(ch, s.factory)
-	rx.Metrics = s.rxm
 	s.rxm.OnChannel(rx.Threshold())
-	// One-shot span tree: the Deliver call has no session clock, so the
-	// root starts at 0 and receiver spans are timed by sample index.
-	tsamp := tslotSeconds / float64(phy.Oversample)
-	if s.spans != nil {
-		sc.spanBuf.Reset()
-		rx.SetSpanWindow(&sc.spanBuf, 0, tsamp)
-	}
 	results, st := rx.Process(samples)
+	s.rxm.Observe(rx.Events())
 	if s.spans != nil {
+		// One-shot span tree: the Deliver call has no session clock, so the
+		// root starts at 0 and receiver spans are timed by sample index.
+		tsamp := tslotSeconds / float64(phy.Oversample)
 		root := s.spans.Record(span.Span{
 			Name: "deliver", Seq: -1, Start: 0, End: float64(len(samples)) * tsamp,
 			Attrs: []span.Attr{{Key: "threshold", Value: strconv.Itoa(rx.Threshold())}},
 		})
-		s.spans.Splice(&sc.spanBuf, root, -1)
+		phy.RecordSpans(s.spans, rx.Events(), root, -1, 0, tsamp)
 	}
 	phy.RecycleSamples(samples)
 	rep.FramesOK = st.FramesOK

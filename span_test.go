@@ -74,7 +74,7 @@ func TestStreamSpans(t *testing.T) {
 
 // TestDeliverStatsSpans pins the one-shot facade instrumentation: each
 // DeliverStats call records a "deliver" root with the receiver's decode
-// subtree spliced underneath.
+// subtree underneath.
 func TestDeliverStatsSpans(t *testing.T) {
 	sys := newSystem(t)
 	col := NewSpanCollector()
