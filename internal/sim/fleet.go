@@ -22,12 +22,11 @@ type FleetResult struct {
 	// Workers is the resolved worker count the fleet ran on.
 	Workers int
 	// Telemetry merges the per-session snapshots (counters and histogram
-	// occupancies summed, gauges averaged, event traces elided) for the
-	// sessions that carried a registry; nil when none did. Per-session
-	// event traces and span trees are NOT merged — see telemetry.Merge for
-	// the elision contract — but they are not lost either: each session's
-	// Result retains its own Telemetry and Spans snapshots, and
-	// WriteSessionTraces exports the span trees per session.
+	// occupancies summed, gauges averaged) for the sessions that carried a
+	// registry; nil when none did. Per-session span trees are NOT merged —
+	// see telemetry.Merge — but they are not lost either: each session's
+	// Result retains its own Spans snapshot, and WriteSessionTraces
+	// exports the span trees per session.
 	Telemetry *telemetry.Snapshot
 	// Health merges the per-session link-health series (counts summed,
 	// rates recomputed, SLOs re-evaluated over the merged series) for the

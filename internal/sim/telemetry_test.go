@@ -40,8 +40,8 @@ func TestRunTelemetryDeterministic(t *testing.T) {
 }
 
 // TestRunTelemetryContent checks the instrumented pipeline actually
-// records: frames transmitted, PHY outcomes, MAC acks and the frame
-// lifecycle trace all present and consistent with Result.
+// records: frames transmitted, PHY outcomes and MAC acks all present and
+// consistent with Result.
 func TestRunTelemetryContent(t *testing.T) {
 	s := amppmScheme(t)
 	cfg := DefaultConfig(s)
@@ -81,21 +81,6 @@ func TestRunTelemetryContent(t *testing.T) {
 	}
 	if counter("mac_acks_received_total") == 0 {
 		t.Error("mac_acks_received_total never incremented")
-	}
-	if len(snap.Events) == 0 {
-		t.Fatal("no lifecycle events traced")
-	}
-	kinds := map[string]int{}
-	for _, e := range snap.Events {
-		kinds[e.Kind]++
-		if e.At < 0 || e.At > res.Duration+1 {
-			t.Fatalf("event %q at %v outside sim time [0,%v]", e.Kind, e.At, res.Duration)
-		}
-	}
-	for _, k := range []string{"frame/build", "frame/tx", "frame/decode", "frame/ack"} {
-		if kinds[k] == 0 {
-			t.Errorf("no %q events traced (got %v)", k, kinds)
-		}
 	}
 }
 

@@ -17,8 +17,6 @@ package telemetry
 //   - Gauges carry their current value unchanged — a gauge is a level,
 //     not a flow, and "the level during this window" is the current
 //     reading. Every gauge present now is included.
-//   - Events are elided like in Merge; EventsTotal and EventsDropped
-//     carry their increments so the elided volume stays visible.
 //
 // The result is canonically sorted, so two identically seeded sessions
 // produce byte-identical delta sequences for the same flush schedule —
@@ -34,8 +32,8 @@ func (r *Registry) Delta(prev *Snapshot) *Snapshot {
 
 // SnapshotDelta computes the increment from prev to cur (see
 // Registry.Delta for the per-kind semantics). Both snapshots are left
-// untouched; a nil prev yields cur's own series (minus exemplars and
-// events). Useful when the caller already holds the current snapshot and
+// untouched; a nil prev yields cur's own series (minus exemplars).
+// Useful when the caller already holds the current snapshot and
 // wants to keep it as the next delta's base without snapshotting twice.
 func SnapshotDelta(cur, prev *Snapshot) *Snapshot {
 	out := &Snapshot{
@@ -102,20 +100,6 @@ func SnapshotDelta(cur, prev *Snapshot) *Snapshot {
 			}
 		}
 		out.Histograms = append(out.Histograms, hs)
-	}
-
-	if prev != nil {
-		out.EventsTotal = cur.EventsTotal - prev.EventsTotal
-		out.EventsDropped = cur.EventsDropped - prev.EventsDropped
-		if out.EventsTotal < 0 {
-			out.EventsTotal = cur.EventsTotal
-		}
-		if out.EventsDropped < 0 {
-			out.EventsDropped = cur.EventsDropped
-		}
-	} else {
-		out.EventsTotal = cur.EventsTotal
-		out.EventsDropped = cur.EventsDropped
 	}
 
 	out.sortCanonical()

@@ -6,13 +6,12 @@ import (
 )
 
 // TestDeltaNilPrevIsFull pins the base case: the delta against nil is the
-// full snapshot, minus the elided exemplars and events.
+// full snapshot, minus the elided exemplars.
 func TestDeltaNilPrevIsFull(t *testing.T) {
 	r := New()
 	r.Counter("a_total").Add(3)
 	r.Gauge("g").Set(1.5)
 	r.Histogram("h").Observe(2)
-	r.Emit(0.1, "ev", 1)
 
 	d := r.Delta(nil)
 	if len(d.Counters) != 1 || d.Counters[0].Value != 3 {
@@ -23,9 +22,6 @@ func TestDeltaNilPrevIsFull(t *testing.T) {
 	}
 	if len(d.Histograms) != 1 || d.Histograms[0].Count != 1 {
 		t.Fatalf("histograms = %+v", d.Histograms)
-	}
-	if len(d.Events) != 0 || d.EventsTotal != 1 {
-		t.Fatalf("events elided but total kept: %d events, total %d", len(d.Events), d.EventsTotal)
 	}
 }
 

@@ -243,7 +243,7 @@ func TestClassicExpositionHasNoExemplars(t *testing.T) {
 
 // TestParseSnapshotRoundTrip pins the JSON round trip behind the viewer
 // commands: parse(JSON(snapshot)) re-marshals byte-identically,
-// exemplars included.
+// exemplars included, and files carrying the former event keys parse.
 func TestParseSnapshotRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("frames_total").Add(2)
@@ -266,6 +266,17 @@ func TestParseSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSnapshot([]byte("{broken")); err == nil {
 		t.Fatal("malformed snapshot accepted")
+	}
+	// Files written while snapshots still carried the registry's event
+	// ring keep parsing; the event keys are ignored.
+	old := []byte(`{"counters":[{"name":"frames_total","value":2}],"gauges":[],"histograms":[],` +
+		`"events":[{"at":0.5,"kind":"frame/tx","seq":1}],"events_total":1,"events_dropped":0}`)
+	back, err = ParseSnapshot(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Counters) != 1 || back.Counters[0].Name != "frames_total" || back.Counters[0].Value != 2 {
+		t.Fatalf("snapshot with event keys parsed to %+v", back)
 	}
 }
 

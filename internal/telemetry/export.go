@@ -63,17 +63,13 @@ type HistogramSnapshot struct {
 func HistogramBucketBound(i int) float64 { return histBound(i) }
 
 // Snapshot is a point-in-time copy of a registry: every series, sorted by
-// name then label signature, plus the buffered event trace. Because all
-// ordering is canonical and every timestamp is deterministic, two
-// snapshots of identically seeded sessions marshal to byte-identical
-// JSON.
+// name then label signature. Because all ordering is canonical and every
+// exemplar timestamp is deterministic, two snapshots of identically
+// seeded sessions marshal to byte-identical JSON.
 type Snapshot struct {
-	Counters      []CounterSnapshot   `json:"counters"`
-	Gauges        []GaugeSnapshot     `json:"gauges"`
-	Histograms    []HistogramSnapshot `json:"histograms"`
-	Events        []Event             `json:"events,omitempty"`
-	EventsTotal   int64               `json:"events_total"`
-	EventsDropped int64               `json:"events_dropped"`
+	Counters   []CounterSnapshot   `json:"counters"`
+	Gauges     []GaugeSnapshot     `json:"gauges"`
+	Histograms []HistogramSnapshot `json:"histograms"`
 }
 
 // exemplarSnapshot flattens per-bucket reservoirs into the canonical
@@ -158,10 +154,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms = append(s.Histograms, hs)
 	}
 	s.sortCanonical()
-	// One locked read for the whole triple: reading total after a separate
-	// events() call would let a concurrent Emit land in between, producing
-	// a snapshot whose EventsTotal disagrees with its event list.
-	s.Events, s.EventsTotal, s.EventsDropped = r.trace.events()
 	return s
 }
 

@@ -25,17 +25,12 @@ import "sort"
 //     input by it — so Merge is associative: merging partial merges gives
 //     the same per-session mean (and the same canonical bytes, when the
 //     reconstructed sums regroup exactly) as one flat merge.
-//   - Events are elided: each session's trace runs on its own simulated
-//     clock, so interleaving them would juxtapose unrelated time axes.
-//     EventsTotal and EventsDropped still sum, recording the volume.
 //
-// The elision contract: Merge drops per-session sequences (the Events
-// ring here, and analogously the span trees of
-// smartvlc/internal/telemetry/span) by design, never silently — the
-// summed EventsTotal/EventsDropped make the elided volume visible, and
-// the per-session snapshots remain intact on each session's own Result.
-// Callers who need the sequences in fleet mode export them per session
-// instead of merging: sim.FleetResult.WriteSessionTraces writes one span
+// Per-session sequences — the span trees of
+// smartvlc/internal/telemetry/span — run on each session's own simulated
+// clock, so merging would juxtapose unrelated time axes; they stay on
+// each session's Result. Callers who need them in fleet mode export them
+// per session: sim.FleetResult.WriteSessionTraces writes one span
 // snapshot and one Chrome trace per session, named by session index.
 func Merge(snaps ...*Snapshot) *Snapshot {
 	out := &Snapshot{
@@ -113,8 +108,6 @@ func Merge(snaps ...*Snapshot) *Snapshot {
 				}
 			}
 		}
-		out.EventsTotal += s.EventsTotal
-		out.EventsDropped += s.EventsDropped
 	}
 
 	for _, c := range counters {

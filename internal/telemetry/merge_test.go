@@ -13,7 +13,6 @@ func sessionSnapshot(seed int64) *Snapshot {
 	h := r.Histogram("airtime_slots")
 	h.Observe(float64(4 * (seed + 1)))
 	h.Observe(3)
-	r.Emit(0.5, "frame/tx", seed)
 	return r.Snapshot()
 }
 
@@ -55,13 +54,10 @@ func TestMergeAggregates(t *testing.T) {
 	if bucketTotal != 4 {
 		t.Fatalf("bucket occupancy %d", bucketTotal)
 	}
-	if len(m.Events) != 0 || m.EventsTotal != 2 {
-		t.Fatalf("events must be elided with totals kept: %d events, total %d", len(m.Events), m.EventsTotal)
-	}
 }
 
-// TestMergeSingleIdentity: merging one event-free snapshot is the
-// identity — same series, same values, same canonical JSON.
+// TestMergeSingleIdentity: merging one snapshot is the identity — same
+// series, same values, same canonical JSON.
 func TestMergeSingleIdentity(t *testing.T) {
 	r := New()
 	r.Counter("frames_total").Add(7)
@@ -87,8 +83,7 @@ func TestMergeSingleIdentity(t *testing.T) {
 // Merge of nothing — the canonical empty snapshot.
 func TestMergeEmptyList(t *testing.T) {
 	m := Merge(nil, nil)
-	if len(m.Counters) != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 ||
-		len(m.Events) != 0 || m.EventsTotal != 0 || m.EventsDropped != 0 {
+	if len(m.Counters) != 0 || len(m.Gauges) != 0 || len(m.Histograms) != 0 {
 		t.Fatalf("all-nil merge not empty: %+v", m)
 	}
 }
@@ -115,30 +110,6 @@ func TestMergeDisjointBuckets(t *testing.T) {
 	}
 	if h.Buckets[0].Count != 1 || h.Buckets[1].Count != 2 {
 		t.Fatalf("bucket occupancies lost: %+v", h.Buckets)
-	}
-}
-
-// TestMergeEventAccounting pins the elision contract: event sequences are
-// dropped but both volume counters sum, including drops recorded by the
-// per-session rings.
-func TestMergeEventAccounting(t *testing.T) {
-	r := New()
-	r.Emit(0.1, "frame/tx", 0)
-	r.Emit(0.2, "frame/tx", 1)
-	m := Merge(
-		r.Snapshot(),
-		&Snapshot{EventsTotal: 10, EventsDropped: 3},
-		&Snapshot{EventsTotal: 5, EventsDropped: 5,
-			Events: []Event{{At: 1, Kind: "frame/tx"}}},
-	)
-	if len(m.Events) != 0 {
-		t.Fatalf("events not elided: %+v", m.Events)
-	}
-	if m.EventsTotal != 2+10+5 {
-		t.Fatalf("EventsTotal %d, want 17", m.EventsTotal)
-	}
-	if m.EventsDropped != 3+5 {
-		t.Fatalf("EventsDropped %d, want 8", m.EventsDropped)
 	}
 }
 

@@ -1,7 +1,9 @@
-// Package telemetry is SmartVLC's deterministic observability layer: a
-// race-safe metrics registry (atomic counters, gauges, log-bucketed
-// histograms) plus a bounded ring-buffer event tracer, exportable as
-// Prometheus text exposition or canonical JSON.
+// Package telemetry is SmartVLC's deterministic metrics layer: a
+// race-safe registry of atomic counters, gauges and log-bucketed
+// histograms with exemplars, exportable as Prometheus or OpenMetrics text
+// exposition or canonical JSON. What happened to each frame lives in the
+// sibling pillars: span trees (span), structured logs (vlog), link health
+// (health) and flight bundles (flight).
 //
 // Two rules distinguish it from a general-purpose metrics library:
 //
@@ -35,8 +37,8 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// Registry holds a set of metric series and an event trace. The zero
-// value is not usable; call New. A nil *Registry is the no-op default:
+// Registry holds a set of metric series. The zero value is not usable;
+// call New. A nil *Registry is the no-op default:
 // every method on it (and on the nil handles it returns) does nothing.
 type Registry struct {
 	mu       sync.Mutex
@@ -44,14 +46,9 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
-	trace    trace
 }
 
-// DefaultTraceCapacity bounds the event ring buffer until SetTraceCapacity
-// overrides it. Once full, the oldest events are dropped (and counted).
-const DefaultTraceCapacity = 4096
-
-// New returns an empty registry with the default trace capacity.
+// New returns an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},

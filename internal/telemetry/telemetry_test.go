@@ -15,8 +15,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("c").Add(5)
 	r.Gauge("g").Set(3)
 	r.Histogram("h").Observe(1)
-	r.Emit(0, "e", 1)
-	r.SetTraceCapacity(8)
 	if got := r.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d", got)
 	}
@@ -27,7 +25,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil histogram count = %d", got)
 	}
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Events) != 0 {
+	if len(s.Counters) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", s)
 	}
 	if _, err := r.JSON(); err != nil {
@@ -99,26 +97,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestTraceRingDropsOldest(t *testing.T) {
-	r := New()
-	r.SetTraceCapacity(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(float64(i), "e", int64(i))
-	}
-	s := r.Snapshot()
-	if s.EventsTotal != 10 || s.EventsDropped != 6 {
-		t.Fatalf("total=%d dropped=%d", s.EventsTotal, s.EventsDropped)
-	}
-	if len(s.Events) != 4 {
-		t.Fatalf("len(events) = %d", len(s.Events))
-	}
-	for i, e := range s.Events {
-		if e.Seq != int64(6+i) {
-			t.Fatalf("event %d seq = %d, want %d (oldest-first tail)", i, e.Seq, 6+i)
-		}
-	}
-}
-
 // TestConcurrentRegistry hammers one registry from many goroutines — the
 // scenario of several sessions sharing a process registry. Run under
 // `go test -race` (CI does) to assert race safety; the totals assert no
@@ -141,7 +119,6 @@ func TestConcurrentRegistry(t *testing.T) {
 				shared.Add(2)
 				g.Set(float64(i))
 				h.Observe(float64(i % 17))
-				r.Emit(float64(i), "tick", int64(w))
 				if i%257 == 0 {
 					_ = r.Snapshot() // concurrent snapshotting must be safe too
 				}
@@ -219,8 +196,6 @@ func TestSnapshotJSONDeterminism(t *testing.T) {
 		}
 		r.Gauge("g").Set(0.1 + 0.2) // float formatting must round-trip identically
 		r.Histogram("h").Observe(3.14)
-		r.Emit(1.5, "frame/tx", 1)
-		r.Emit(2.5, "frame/ack", 1)
 		b, err := r.JSON()
 		if err != nil {
 			t.Fatal(err)

@@ -14,15 +14,13 @@ import (
 // Telemetry re-exports, so applications never import internal packages.
 type (
 	// Telemetry is a deterministic, race-safe metrics registry: counters,
-	// gauges, log-bucketed histograms and a bounded event trace. All
+	// gauges and log-bucketed histograms with exemplars. All exemplar
 	// timestamps are simulated time; two identically-seeded sessions
 	// produce byte-identical snapshots.
 	Telemetry = telemetry.Registry
 	// TelemetrySnapshot is a canonical point-in-time export of a registry,
 	// serializable as JSON or Prometheus text exposition.
 	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryEvent is one frame-lifecycle trace entry.
-	TelemetryEvent = telemetry.Event
 
 	// Span is one causal pipeline stage of one frame or chunk.
 	Span = span.Span
@@ -150,10 +148,9 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // MergeTelemetry combines per-session snapshots into one fleet-level
 // aggregate: counters and histogram occupancies sum, gauges average over
-// the sessions carrying them, and event traces are elided (their volume
-// counters still sum). The fold is sequential over the argument order, so
-// passing snapshots in session order yields a deterministic result; nil
-// snapshots are skipped. RunFleet applies this to its sessions already.
+// the sessions carrying them. The fold is sequential over the argument
+// order, so passing snapshots in session order yields a deterministic
+// result; nil snapshots are skipped. RunFleet applies this to its sessions already.
 func MergeTelemetry(snaps ...*TelemetrySnapshot) *TelemetrySnapshot {
 	return telemetry.Merge(snaps...)
 }
