@@ -10,6 +10,7 @@ import (
 	"smartvlc/internal/telemetry"
 	"smartvlc/internal/telemetry/agg"
 	"smartvlc/internal/telemetry/flight"
+	"smartvlc/internal/telemetry/span"
 )
 
 func broadcastConfig(t *testing.T, poses ...ReceiverPose) BroadcastConfig {
@@ -137,5 +138,53 @@ func TestBroadcastDimmingFollowsDarkestDesk(t *testing.T) {
 	}
 	if sunny.MeanSum < dark.MeanSum+0.2 {
 		t.Fatalf("sunny desk %v should exceed dark desk %v", sunny.MeanSum, dark.MeanSum)
+	}
+}
+
+// TestBroadcastDrainRecordsTrailingAcks: frames every receiver
+// acknowledges after the last transmission, in the trailing drain, reach
+// the sender like any other — the ACK counter, the ACK-latency histogram
+// and the mac/ack spans each count every completed frame, as the single
+// link's drain does at the same pose.
+func TestBroadcastDrainRecordsTrailingAcks(t *testing.T) {
+	acks := func(snap *telemetry.Snapshot, spans *span.Snapshot) (counter, latencies, ackSpans int64) {
+		for _, c := range snap.Counters {
+			if c.Name == "mac_acks_received_total" {
+				counter = c.Value
+			}
+		}
+		for _, h := range snap.Histograms {
+			if h.Name == "mac_ack_latency_seconds" {
+				latencies = h.Count
+			}
+		}
+		for _, s := range spans.Spans {
+			if s.Name == "mac/ack" {
+				ackSpans++
+			}
+		}
+		return counter, latencies, ackSpans
+	}
+	cfg := broadcastConfig(t, ReceiverPose{Geometry: optics.Aligned(2, 0)})
+	cfg.Telemetry, cfg.Spans = telemetry.New(), span.NewCollector()
+	res, err := RunBroadcast(cfg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := int64(math.Round(res.ReliableGoodputBps * res.Duration / 8 / float64(cfg.PayloadBytes)))
+	counter, latencies, ackSpans := acks(res.Telemetry, res.Spans)
+	if counter != complete || latencies != complete || ackSpans != complete {
+		t.Fatalf("%d frames complete; acks counted %d, latencies %d, mac/ack spans %d", complete, counter, latencies, ackSpans)
+	}
+
+	single := cfg.Config
+	single.Geometry = optics.Aligned(2, 0)
+	single.Telemetry, single.Spans = telemetry.New(), span.NewCollector()
+	sres, err := Run(single, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, l, s := acks(sres.Telemetry, sres.Spans); c != complete || l != complete || s != complete {
+		t.Fatalf("single link at the same pose counts %d acks, %d latencies, %d mac/ack spans; broadcast %d", c, l, s, complete)
 	}
 }
