@@ -52,13 +52,20 @@ type Tree struct {
 }
 
 // NewTree indexes spans. A span whose Parent is 0 — or points at a span
-// missing from the list (dropped from the ring) — is a root.
+// missing from the list (dropped from the ring) — is a root. A list read
+// from a file may repeat an ID: the first span of each ID is kept and
+// later ones are ignored, so every span has one parent and everything
+// reachable from a root is a tree.
 func NewTree(spans []Span) *Tree {
 	t := &Tree{byID: make(map[ID]Span, len(spans)), children: map[ID][]ID{}}
+	kept := make([]Span, 0, len(spans))
 	for _, s := range spans {
-		t.byID[s.ID] = s
+		if _, dup := t.byID[s.ID]; !dup {
+			t.byID[s.ID] = s
+			kept = append(kept, s)
+		}
 	}
-	for _, s := range spans {
+	for _, s := range kept {
 		if _, ok := t.byID[s.Parent]; s.Parent != 0 && ok {
 			t.children[s.Parent] = append(t.children[s.Parent], s.ID)
 		} else {

@@ -146,9 +146,14 @@ func ReportBundle(w io.Writer, dir string, b *flight.Bundle) {
 
 // ReportReplay writes the replay verdict line: the decode class the
 // captured samples reproduced against the class recorded at trigger time.
+// A bundle that recorded no class (the end-of-session SLO bundle names no
+// frame) has nothing to compare, which is not a mismatch.
 func ReportReplay(w io.Writer, class, recorded string) {
 	verdict := "MISMATCH"
-	if class == recorded {
+	switch {
+	case recorded == "":
+		verdict = "no class recorded"
+	case class == recorded:
 		verdict = "match"
 	}
 	fmt.Fprintf(w, "\nreplay of triggering frame: class %q (recorded %q) — %s\n", class, recorded, verdict)

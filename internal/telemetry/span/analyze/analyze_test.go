@@ -106,6 +106,12 @@ func TestReportReplayMismatch(t *testing.T) {
 	if !strings.Contains(buf.String(), "MISMATCH") {
 		t.Fatalf("mismatch not flagged: %q", buf.String())
 	}
+	// The end-of-session SLO bundle records no class: nothing to compare.
+	buf.Reset()
+	ReportReplay(&buf, "ok", "")
+	if strings.Contains(buf.String(), "MISMATCH") || !strings.Contains(buf.String(), "no class recorded") {
+		t.Fatalf("classless bundle verdict: %q", buf.String())
+	}
 }
 
 func TestStageQuantilesOrdering(t *testing.T) {
@@ -139,6 +145,28 @@ func TestDur(t *testing.T) {
 	for in, want := range cases {
 		if got := Dur(in); got != want {
 			t.Errorf("Dur(%v) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestReportRepeatedIDs: a snapshot read from a file may repeat span IDs
+// (one here chains a retransmission onto itself, another hides a frame
+// under a failed decode of the same ID); the report still ends, with the
+// first span of each ID.
+func TestReportRepeatedIDs(t *testing.T) {
+	snap := &span.Snapshot{Spans: []span.Span{
+		{ID: 1, Seq: 4, Name: "frame", Start: 0, End: 0.01},
+		{ID: 2, Parent: 1, Seq: 4, Name: "frame", Start: 0.02, End: 0.03},
+		{ID: 2, Parent: 2, Seq: 4, Name: "frame", Start: 0.04, End: 0.05},
+		{ID: 3, Parent: 1, Seq: 4, Name: "phy/decode", Start: 0.001, End: 0.002,
+			Attrs: []span.Attr{{Key: "class", Value: "crc"}}},
+		{ID: 3, Parent: 3, Seq: 4, Name: "frame/tx", Start: 0, End: 0.01},
+	}}
+	var buf bytes.Buffer
+	Report(&buf, snap, Options{})
+	for _, want := range []string{"frame roots: 2", "retransmit chains: 1", "seq 4: 2 transmissions", "worst frames"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("report lacks %q:\n%s", want, buf.String())
 		}
 	}
 }

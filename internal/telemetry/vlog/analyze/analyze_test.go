@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"smartvlc/internal/telemetry"
@@ -151,5 +152,20 @@ func TestJoinDeterministic(t *testing.T) {
 	Join(&b, in, Options{})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("join output not deterministic")
+	}
+}
+
+// TestJoinRepeatedIDs: a span file whose second span repeats the first
+// one's ID and names it as parent renders the first span once instead of
+// nesting it in itself forever.
+func TestJoinRepeatedIDs(t *testing.T) {
+	spans := &span.Snapshot{Spans: []span.Span{
+		{ID: 1, Seq: 4, Name: "frame", Start: 0, End: 0.01},
+		{ID: 1, Parent: 1, Seq: 4, Name: "frame", Start: 0.001, End: 0.002},
+	}}
+	var buf bytes.Buffer
+	Join(&buf, JoinInput{Spans: spans}, Options{})
+	if got := strings.Count(buf.String(), "frame"); got != 1 {
+		t.Fatalf("span rendered %d times, want once:\n%s", got, buf.String())
 	}
 }
