@@ -17,15 +17,3 @@ var (
 	// session snapshot.
 	tableBuildMicros = telemetry.Global().Histogram("amppm_table_build_micros")
 )
-
-// TableCacheStats reports cumulative hit/miss counts of the NewTable
-// memoization (one shared table per Constraints value).
-func TableCacheStats() (hits, misses int64) {
-	return tableCacheHits.Value(), tableCacheMisses.Value()
-}
-
-// SelectCacheStats reports cumulative hit/miss counts of Table.Select's
-// per-level memoization, summed over all tables in the process.
-func SelectCacheStats() (hits, misses int64) {
-	return selectCacheHits.Value(), selectCacheMisses.Value()
-}

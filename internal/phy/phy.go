@@ -380,8 +380,8 @@ func NewReceiver(ch photon.Channel, factory frame.CodecFactory) *Receiver {
 
 // Reset reconfigures the receiver for a channel operating point exactly
 // as NewReceiver would, clearing all decode state (ambient estimate,
-// events, profiler handles) while keeping the scratch columns — the
-// pooled-receiver fast path behind AcquireReceiver.
+// events, profiler handles) while keeping the scratch columns, so a
+// session arena or a System can reuse one receiver without allocating.
 func (r *Receiver) Reset(ch photon.Channel, factory frame.CodecFactory) {
 	r.factory = factory
 	r.thr = thresholdFor(ch)

@@ -1,11 +1,6 @@
 package phy
 
-import (
-	"sync"
-
-	"smartvlc/internal/frame"
-	"smartvlc/internal/photon"
-)
+import "sync"
 
 // The PHY recycles its large per-frame scratch slices — most importantly
 // the RX sample stream a TransmitPCG produces — through sync.Pools. One
@@ -54,29 +49,4 @@ func RecycleSamples(samples []int) {
 	}
 	*p = samples[:0]
 	samplePool.Put(p)
-}
-
-// receiverPool recycles Receivers together with their Batch columns, so
-// per-call paths like System.Deliver can run a fully warmed receiver
-// without allocating. AcquireReceiver resets all decode state; the
-// scratch capacity is what survives.
-var receiverPool sync.Pool // *Receiver
-
-// AcquireReceiver returns a pooled receiver reset for the channel, as
-// NewReceiver would configure it. Release it when done with the receiver
-// AND its last Process results (results alias the receiver's batch).
-func AcquireReceiver(ch photon.Channel, factory frame.CodecFactory) *Receiver {
-	r, _ := receiverPool.Get().(*Receiver)
-	if r == nil {
-		r = &Receiver{}
-	}
-	r.Reset(ch, factory)
-	return r
-}
-
-// Release returns the receiver to the pool. The caller must be done with
-// every slice the receiver handed out: Process results, their payloads
-// and foldSlots scratch all alias buffers the next acquirer will reuse.
-func (r *Receiver) Release() {
-	receiverPool.Put(r)
 }

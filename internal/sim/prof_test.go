@@ -144,9 +144,9 @@ func TestBroadcastProfWorkerInvariance(t *testing.T) {
 	}
 }
 
-// benchSession is the nil/armed benchmark pair behind phybench's
-// session_frames / end_to_end_frame_prof twins, kept here so the
-// profiler's hot-path price can be measured with plain `go test -bench`.
+// benchSession is a nil/armed benchmark pair, one 0.1 s session per op,
+// so the profiler's hot-path price can be measured with plain
+// `go test -bench`.
 func benchSession(b *testing.B, armed bool) {
 	s := amppmScheme(b)
 	for i := 0; i < b.N; i++ {

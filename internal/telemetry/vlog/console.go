@@ -10,8 +10,8 @@ import (
 // Console renders records as human-readable, sim-clock-stamped lines —
 // the handler the examples dogfood instead of the stdlib log package,
 // so example output shares the vocabulary of every other export. It is
-// a renderer, not a sink: pair it with a Logger (render its snapshot
-// with Dump) or emit directly for one-off program messages.
+// a renderer, not a sink: emit a Logger snapshot's records through it,
+// or emit directly for one-off program messages.
 type Console struct {
 	w   io.Writer
 	min Level
@@ -59,17 +59,6 @@ func (c *Console) Emit(r Record) {
 	}
 	b.WriteByte('\n')
 	io.WriteString(c.w, b.String())
-}
-
-// Dump renders every record of a snapshot through Emit, in record
-// order. Nil snapshots render nothing.
-func (c *Console) Dump(s *Snapshot) {
-	if c == nil || s == nil {
-		return
-	}
-	for _, r := range s.Records {
-		c.Emit(r)
-	}
 }
 
 // Errorf emits a one-off Error record at sim time zero — the program-
