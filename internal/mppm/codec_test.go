@@ -239,3 +239,85 @@ func BenchmarkCodecDecodeN20(b *testing.B) {
 		}
 	}
 }
+
+// EncodeBig is Encode for patterns whose rank space exceeds uint64, the
+// big-integer form of Algorithm 1 the tests check the fast path against.
+// value is not modified.
+func (c *Codec) EncodeBig(value *big.Int, dst []bool) ([]bool, error) {
+	if value.Sign() < 0 || value.BitLen() > c.bits {
+		return nil, ErrValueRange
+	}
+	if c.Fast() {
+		return c.Encode(value.Uint64(), dst)
+	}
+	n, k := c.pattern.N, c.pattern.K
+	if dst == nil {
+		dst = make([]bool, n)
+	}
+	if len(dst) != n {
+		return nil, ErrWrongLength
+	}
+	v := new(big.Int).Set(value)
+	onsLeft := k
+	for i := 0; i < n; i++ {
+		remaining := n - i - 1
+		if onsLeft == 0 {
+			dst[i] = false
+			continue
+		}
+		if remaining < onsLeft {
+			dst[i] = true
+			onsLeft--
+			continue
+		}
+		withOn := c.big[remaining][onsLeft-1]
+		if v.Cmp(withOn) < 0 {
+			dst[i] = true
+			onsLeft--
+		} else {
+			dst[i] = false
+			v.Sub(v, withOn)
+		}
+	}
+	return dst, nil
+}
+
+// DecodeBig is Decode for patterns whose rank space exceeds uint64.
+func (c *Codec) DecodeBig(codeword []bool) (*big.Int, error) {
+	if c.Fast() {
+		v, err := c.Decode(codeword)
+		if err != nil {
+			return nil, err
+		}
+		return new(big.Int).SetUint64(v), nil
+	}
+	n, k := c.pattern.N, c.pattern.K
+	if len(codeword) != n {
+		return nil, ErrWrongLength
+	}
+	ons := 0
+	for _, s := range codeword {
+		if s {
+			ons++
+		}
+	}
+	if ons != k {
+		return nil, ErrWrongWeight
+	}
+	v := new(big.Int)
+	onsLeft := k
+	for i := 0; i < n && onsLeft > 0; i++ {
+		remaining := n - i - 1
+		if codeword[i] {
+			onsLeft--
+			continue
+		}
+		if remaining >= onsLeft {
+			v.Add(v, c.big[remaining][onsLeft-1])
+		}
+	}
+	if v.BitLen() > c.bits {
+		return nil, ErrRankOverflow
+	}
+	return v, nil
+}

@@ -132,60 +132,6 @@ func (r *raw) sub(o *raw) {
 	r.levelN -= o.levelN
 }
 
-// extract reduces a delta snapshot to raw counts. Unknown series are
-// ignored — the aggregator rolls up the link KPIs, the full delta stays
-// available to callers that want more.
-func extract(d *telemetry.Snapshot, meta SessionMeta) raw {
-	var r raw
-	for _, c := range d.Counters {
-		switch c.Name {
-		case "sim_frames_tx_total":
-			r.framesTx += c.Value
-		case "phy_rx_frames_total":
-			for _, l := range c.Labels {
-				if l.Key == "outcome" {
-					switch l.Value {
-					case "ok":
-						r.framesOK += c.Value
-					case "bad":
-						r.framesBad += c.Value
-					}
-				}
-			}
-		case "phy_rx_symbol_errors_total":
-			r.symbolErrors += c.Value
-		case "mac_timeouts_total":
-			r.timeouts += c.Value
-		case "mac_acks_received_total":
-			r.acks += c.Value
-		case "sim_delivered_bytes_total":
-			r.deliveredBytes += c.Value
-		}
-	}
-	for _, h := range d.Histograms {
-		if h.Name != "mac_ack_latency_seconds" {
-			continue
-		}
-		r.ackCount += h.Count
-		r.ackSum += h.Sum
-		for _, b := range h.Buckets {
-			if b.Index >= 0 && b.Index < len(r.ackBuckets) {
-				r.ackBuckets[b.Index] += b.Count
-			}
-		}
-	}
-	for _, g := range d.Gauges {
-		if g.Name == "sim_dimming_level" {
-			r.levelSum += g.Value
-			r.levelN++
-		}
-	}
-	// Symbol-count proxy: decoded payload bytes of accepted frames — the
-	// same denominator the health monitor uses for the Eq. 3 SER bound.
-	r.symbols = r.framesOK * int64(meta.PayloadBytes)
-	return r
-}
-
 // pending is one delivered-but-unsealed window contribution.
 type pending struct {
 	raw     raw
@@ -440,11 +386,12 @@ func sparseBuckets(b *[64]int64) []telemetry.Bucket {
 // different feeds of one aggregator may run concurrently.
 //
 // Each flush contributes exactly what extracting a telemetry.Registry
-// Delta would (see extract) — counter and histogram increments since the
-// previous flush, the gauge's current value — but reads the KPI series
-// directly through cached handles instead of materializing a full
-// snapshot, so the per-window cost is a handful of atomic loads rather
-// than a copy-and-sort of the whole registry.
+// Delta would (TestFlushMatchesGenericDelta holds it to that) — counter
+// and histogram increments since the previous flush, the gauge's current
+// value — but reads the KPI series directly through cached handles
+// instead of materializing a full snapshot, so the per-window cost is a
+// handful of atomic loads rather than a copy-and-sort of the whole
+// registry.
 type Feed struct {
 	agg    *Aggregator
 	meta   SessionMeta

@@ -442,3 +442,57 @@ func TestFlushMatchesGenericDelta(t *testing.T) {
 		t.Fatalf("fast-path aggregation diverged from generic-delta reference:\nfast %s\nref  %s", got, want)
 	}
 }
+
+// extract reduces a delta snapshot to raw counts, the generic path a
+// Feed's flush must match. Unknown series are ignored — the aggregator
+// rolls up the link KPIs only.
+func extract(d *telemetry.Snapshot, meta SessionMeta) raw {
+	var r raw
+	for _, c := range d.Counters {
+		switch c.Name {
+		case "sim_frames_tx_total":
+			r.framesTx += c.Value
+		case "phy_rx_frames_total":
+			for _, l := range c.Labels {
+				if l.Key == "outcome" {
+					switch l.Value {
+					case "ok":
+						r.framesOK += c.Value
+					case "bad":
+						r.framesBad += c.Value
+					}
+				}
+			}
+		case "phy_rx_symbol_errors_total":
+			r.symbolErrors += c.Value
+		case "mac_timeouts_total":
+			r.timeouts += c.Value
+		case "mac_acks_received_total":
+			r.acks += c.Value
+		case "sim_delivered_bytes_total":
+			r.deliveredBytes += c.Value
+		}
+	}
+	for _, h := range d.Histograms {
+		if h.Name != "mac_ack_latency_seconds" {
+			continue
+		}
+		r.ackCount += h.Count
+		r.ackSum += h.Sum
+		for _, b := range h.Buckets {
+			if b.Index >= 0 && b.Index < len(r.ackBuckets) {
+				r.ackBuckets[b.Index] += b.Count
+			}
+		}
+	}
+	for _, g := range d.Gauges {
+		if g.Name == "sim_dimming_level" {
+			r.levelSum += g.Value
+			r.levelN++
+		}
+	}
+	// Symbol-count proxy: decoded payload bytes of accepted frames — the
+	// same denominator the health monitor uses for the Eq. 3 SER bound.
+	r.symbols = r.framesOK * int64(meta.PayloadBytes)
+	return r
+}
