@@ -39,10 +39,10 @@ import (
 // the pins instead of failing them.
 const (
 	pinRefDigest       = "4ff221710dabf6f7"
-	pinSingleAllDigest = "03a8aa310d4d61cd"
+	pinSingleAllDigest = "0d2ed8e372e17cb3"
 	pinSingleCapDigest = "dbedb32919504eaa"
-	pinBroadcastDigest = "376fd1f43e13bef7"
-	pinFleetDigest     = "5e2a85bea436dec1"
+	pinBroadcastDigest = "f57346b05783040f"
+	pinFleetDigest     = "d6c4d8dcf9aea5a0"
 )
 
 // pinHasher folds named byte blobs into one SHA-256 digest.

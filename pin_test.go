@@ -25,7 +25,7 @@ import (
 const (
 	facadeRefDigest     = "4ff221710dabf6f7"
 	facadeDeliverDigest = "21cc7a91734bf255"
-	facadeStreamDigest  = "1de5e88259bf5fb3"
+	facadeStreamDigest  = "8f39acd6a95d746e"
 )
 
 // facadeHasher folds named byte blobs into one SHA-256 digest.
