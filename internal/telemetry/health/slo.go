@@ -247,7 +247,7 @@ func (e *sloEval) windowValue(n int) (value, target float64, ok bool) {
 		var slots, tsum float64
 		for _, p := range w {
 			bits += p.DeliveredBits
-			slots += p.widthSlots() * float64(p.Links)
+			slots += p.WidthSlots * float64(p.Links)
 			tsum += p.GoodputTarget
 		}
 		if slots == 0 {

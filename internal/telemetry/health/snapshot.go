@@ -59,41 +59,40 @@ type Point struct {
 	AckP99    float64 `json:"ack_p99"`
 }
 
-func (p *Point) meanLevel() float64 {
-	if p.LevelN == 0 {
-		return 0
+// fill copies c's counts into p and derives every rate from them; Links
+// and WidthSlots must already be set.
+func (p *Point) fill(c *telemetry.Counts) {
+	r := c.Rates()
+	p.FramesTx, p.FramesRetx, p.FramesOK, p.FramesBad = c.FramesTx, c.FramesRetx, c.FramesOK, c.FramesBad
+	p.Symbols, p.SymbolErrors = c.Symbols, c.SymbolErrors
+	p.DeliveredBits, p.TxSlots = c.Delivered, c.TxSlots
+	p.LevelSum, p.LevelN, p.MaxLevel = c.LevelSum, c.LevelN, c.LevelMax
+	p.AckCount, p.AckSum, p.AckBuckets = c.AckCount, c.AckSum, r.AckBuckets
+	p.MeanLevel, p.SER, p.FrameLoss = r.MeanLevel, r.SER, r.FrameLoss
+	p.AckP50, p.AckP95, p.AckP99 = r.AckP50, r.AckP95, r.AckP99
+	if p.WidthSlots > 0 && p.Links > 0 {
+		p.Goodput = float64(c.Delivered) / (p.WidthSlots * float64(p.Links))
 	}
-	return p.LevelSum / float64(p.LevelN)
+	if c.FramesTx > 0 {
+		p.RetxRate = float64(c.FramesRetx) / float64(c.FramesTx)
+	}
 }
 
-func (p *Point) widthSlots() float64 { return p.WidthSlots }
-
-// derive recomputes every rate field from the raw counts.
-func (p *Point) derive() {
-	p.MeanLevel = p.meanLevel()
-	if p.Symbols > 0 {
-		p.SER = float64(p.SymbolErrors) / float64(p.Symbols)
-	} else {
-		p.SER = 0
+// counts returns p's raw counts as a record, the inverse of fill.
+func (p *Point) counts() telemetry.Counts {
+	c := telemetry.Counts{
+		FramesTx: p.FramesTx, FramesRetx: p.FramesRetx, FramesOK: p.FramesOK, FramesBad: p.FramesBad,
+		Symbols: p.Symbols, SymbolErrors: p.SymbolErrors,
+		Delivered: p.DeliveredBits, TxSlots: p.TxSlots,
+		LevelSum: p.LevelSum, LevelN: p.LevelN, LevelMax: p.MaxLevel,
+		AckCount: p.AckCount, AckSum: p.AckSum,
 	}
-	if all := p.FramesOK + p.FramesBad; all > 0 {
-		p.FrameLoss = float64(p.FramesBad) / float64(all)
-	} else {
-		p.FrameLoss = 0
+	for _, b := range p.AckBuckets {
+		if b.Index >= 0 && b.Index < len(c.AckBuckets) {
+			c.AckBuckets[b.Index] += b.Count
+		}
 	}
-	if p.WidthSlots > 0 && p.Links > 0 {
-		p.Goodput = float64(p.DeliveredBits) / (p.WidthSlots * float64(p.Links))
-	} else {
-		p.Goodput = 0
-	}
-	if p.FramesTx > 0 {
-		p.RetxRate = float64(p.FramesRetx) / float64(p.FramesTx)
-	} else {
-		p.RetxRate = 0
-	}
-	p.AckP50 = telemetry.QuantileOf(p.AckBuckets, p.AckCount, 0.50)
-	p.AckP95 = telemetry.QuantileOf(p.AckBuckets, p.AckCount, 0.95)
-	p.AckP99 = telemetry.QuantileOf(p.AckBuckets, p.AckCount, 0.99)
+	return c
 }
 
 // Series is one resolution's retained points.
@@ -318,9 +317,10 @@ func mergeSeries(k int, snaps []*Snapshot) Series {
 	return out
 }
 
+// mergePoints sums one bucket index across links through their counts.
 func mergePoints(pts []Point) Point {
 	out := Point{Index: pts[0].Index, Start: pts[0].Start, End: pts[0].End}
-	ack := map[int]int64{}
+	var sum telemetry.Counts
 	var tgtWeighted, tgtPlain float64
 	for _, p := range pts {
 		if p.Start < out.Start {
@@ -336,39 +336,18 @@ func mergePoints(pts []Point) Point {
 			out.WidthSlots = p.WidthSlots
 		}
 		out.Links += p.Links
-		out.FramesTx += p.FramesTx
-		out.FramesRetx += p.FramesRetx
-		out.FramesOK += p.FramesOK
-		out.FramesBad += p.FramesBad
-		out.Symbols += p.Symbols
-		out.SymbolErrors += p.SymbolErrors
-		out.DeliveredBits += p.DeliveredBits
-		out.TxSlots += p.TxSlots
-		out.LevelSum += p.LevelSum
-		out.LevelN += p.LevelN
-		if p.MaxLevel > out.MaxLevel {
-			out.MaxLevel = p.MaxLevel
-		}
-		out.AckCount += p.AckCount
-		out.AckSum += p.AckSum
-		for _, b := range p.AckBuckets {
-			ack[b.Index] += b.Count
-		}
+		c := p.counts()
+		sum.Add(&c)
 		tgtWeighted += p.GoodputTarget * float64(p.LevelN)
 		tgtPlain += p.GoodputTarget
 	}
-	for i := 0; i < 64; i++ {
-		if n := ack[i]; n > 0 {
-			out.AckBuckets = append(out.AckBuckets, telemetry.Bucket{Index: i, Count: n})
-		}
-	}
 	// Level-weighted mean of the per-link resolved targets; exact when
 	// links dim together, a documented approximation otherwise.
-	if out.LevelN > 0 {
-		out.GoodputTarget = tgtWeighted / float64(out.LevelN)
+	if sum.LevelN > 0 {
+		out.GoodputTarget = tgtWeighted / float64(sum.LevelN)
 	} else if len(pts) > 0 {
 		out.GoodputTarget = tgtPlain / float64(len(pts))
 	}
-	out.derive()
+	out.fill(&sum)
 	return out
 }
