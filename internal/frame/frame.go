@@ -20,20 +20,12 @@ type PayloadCodec interface {
 	PayloadSlots(nbytes int) int
 	// AppendPayload modulates data into slots and appends them to dst.
 	AppendPayload(dst []bool, data []byte) ([]bool, error)
-	// DecodePayload demodulates nbytes of data from the beginning of
-	// slots. symbolErrors counts constituent symbols that decoded
-	// abnormally (the CRC makes the final call on frame validity).
-	DecodePayload(slots []bool, nbytes int) (data []byte, symbolErrors int, err error)
-}
-
-// PayloadAppender is the allocation-free decode extension of
-// PayloadCodec: AppendDecodedPayload demodulates nbytes of data from the
-// beginning of slots into dst's backing array (dst's length is ignored;
-// its capacity is reused) and returns the decoded bytes. Codecs on the
-// receiver hot path implement it so ParseInto can recycle one body
-// buffer per frame slot; ParseInto falls back to DecodePayload plus a
-// copy for codecs that don't.
-type PayloadAppender interface {
+	// AppendDecodedPayload demodulates nbytes of data from the beginning
+	// of slots into dst's backing array (dst's length is ignored; its
+	// capacity is reused) and returns the decoded bytes, so ParseInto can
+	// recycle one body buffer per frame. symbolErrors counts constituent
+	// symbols that decoded abnormally (the CRC makes the final call on
+	// frame validity).
 	AppendDecodedPayload(dst []byte, slots []bool, nbytes int) (data []byte, symbolErrors int, err error)
 }
 
@@ -151,8 +143,6 @@ func Parse(slots []bool, factory CodecFactory) (Result, error) {
 // It returns the possibly regrown buffer so callers can recycle it for
 // the next frame: on success Result.Payload aliases the returned buffer,
 // so it stays valid only while the caller keeps the buffer to itself.
-// Codecs implementing PayloadAppender decode straight into the buffer;
-// others pay one DecodePayload allocation plus a copy.
 func ParseInto(slots []bool, factory CodecFactory, buf []byte) (Result, []byte, error) {
 	if !PreambleAt(slots) {
 		return Result{}, buf, ErrNoPreamble
@@ -186,19 +176,9 @@ func ParseInto(slots []bool, factory CodecFactory, buf []byte) (Result, []byte, 
 	if len(slots) < pos+need {
 		return Result{}, buf, ErrTruncated
 	}
-	var body []byte
-	var symErrs int
-	if ap, ok := codec.(PayloadAppender); ok {
-		body, symErrs, err = ap.AppendDecodedPayload(buf, slots[pos:pos+need], bodyBytes)
-		if body != nil {
-			buf = body
-		}
-	} else {
-		body, symErrs, err = codec.DecodePayload(slots[pos:pos+need], bodyBytes)
-		if err == nil {
-			buf = append(buf[:0], body...)
-			body = buf
-		}
+	body, symErrs, err := codec.AppendDecodedPayload(buf, slots[pos:pos+need], bodyBytes)
+	if body != nil {
+		buf = body
 	}
 	if err != nil {
 		return Result{}, buf, err

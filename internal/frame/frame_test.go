@@ -27,8 +27,8 @@ func (f fakeCodec) AppendPayload(dst []bool, data []byte) ([]bool, error) {
 	}
 	return dst, nil
 }
-func (f fakeCodec) DecodePayload(slots []bool, nbytes int) ([]byte, int, error) {
-	out := make([]byte, nbytes)
+func (f fakeCodec) AppendDecodedPayload(dst []byte, slots []bool, nbytes int) ([]byte, int, error) {
+	out := append(dst[:0], make([]byte, nbytes)...)
 	for i := 0; i < nbytes*8; i++ {
 		if slots[i] {
 			out[i/8] |= 1 << uint(7-i%8)

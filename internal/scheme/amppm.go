@@ -182,18 +182,14 @@ func (c *amppmCodec) AppendPayload(dst []bool, data []byte) ([]bool, error) {
 	return c.sc.AppendStream(dst, bitio.NewReader(data))
 }
 
-func (c *amppmCodec) DecodePayload(slots []bool, nbytes int) ([]byte, int, error) {
-	return c.AppendDecodedPayload(nil, slots, nbytes)
-}
-
 // writerPool recycles bit writers for AppendDecodedPayload: codecs are
 // shared across goroutines through the caches above, so the decode
 // scratch cannot live on the codec itself.
 var writerPool = sync.Pool{New: func() any { return bitio.NewWriter() }}
 
-// AppendDecodedPayload implements frame.PayloadAppender: the decoded
-// body lands in dst's backing array (grown only when the capacity is
-// short), so the receiver's steady state decodes without allocating.
+// AppendDecodedPayload decodes into dst's backing array (grown only when
+// the capacity is short), so the receiver's steady state decodes without
+// allocating.
 func (c *amppmCodec) AppendDecodedPayload(dst []byte, slots []bool, nbytes int) ([]byte, int, error) {
 	w := writerPool.Get().(*bitio.Writer)
 	w.Reset(dst)

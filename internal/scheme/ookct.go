@@ -97,14 +97,11 @@ func (c *ookctCodec) AppendPayload(dst []bool, data []byte) ([]bool, error) {
 	return m.AppendBits(dst, data, len(data)*8)
 }
 
-func (c *ookctCodec) DecodePayload(slots []bool, nbytes int) ([]byte, int, error) {
+func (c *ookctCodec) AppendDecodedPayload(dst []byte, slots []bool, nbytes int) ([]byte, int, error) {
 	d, err := ookct.NewDemodulator(c.level, c.unit)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	out, err := d.DecodeBits(slots, nbytes*8)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, 0, nil
+	return append(dst[:0], out...), 0, err
 }

@@ -81,11 +81,11 @@ func (c *oppmCodec) AppendPayload(dst []bool, data []byte) ([]bool, error) {
 	return c.c.AppendStream(dst, bitio.NewReader(data))
 }
 
-func (c *oppmCodec) DecodePayload(slots []bool, nbytes int) ([]byte, int, error) {
+func (c *oppmCodec) AppendDecodedPayload(dst []byte, slots []bool, nbytes int) ([]byte, int, error) {
 	w := bitio.NewWriter()
 	se, err := c.c.DecodeBits(slots, nbytes*8, w)
 	if err != nil {
-		return nil, se, err
+		return dst, se, err
 	}
-	return w.Bytes()[:nbytes], se, nil
+	return append(dst[:0], w.Bytes()[:nbytes]...), se, nil
 }

@@ -78,7 +78,7 @@ func (c *vppmCodec) AppendPayload(dst []bool, data []byte) ([]bool, error) {
 	return c.c.AppendBits(dst, data, len(data)*8)
 }
 
-func (c *vppmCodec) DecodePayload(slots []bool, nbytes int) ([]byte, int, error) {
+func (c *vppmCodec) AppendDecodedPayload(dst []byte, slots []bool, nbytes int) ([]byte, int, error) {
 	out, err := c.c.DecodeBits(slots, nbytes*8)
-	return out, 0, err
+	return append(dst[:0], out...), 0, err
 }
