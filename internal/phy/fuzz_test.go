@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"smartvlc/internal/alloctest"
 	"smartvlc/internal/frame"
 	"smartvlc/internal/optics"
 	"smartvlc/internal/photon"
@@ -132,10 +133,10 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 	link.StartPhase = 0.25
 	RecycleSamples(link.TransmitPCG(pcg, slots))
 
-	if n := testing.AllocsPerRun(20, func() {
+	if n, _ := alloctest.Count(20, func() {
 		RecycleSamples(link.TransmitPCG(pcg, slots))
 	}); n != 0 {
-		t.Errorf("TransmitPCG steady state: %v allocs/op", n)
+		t.Errorf("TransmitPCG steady state: %d allocs over 20 calls", n)
 	}
 }
 
@@ -157,10 +158,10 @@ func TestProcessSteadyStateZeroAllocs(t *testing.T) {
 	if res, stats := rx.Process(samples); len(res) != 2 || stats.FramesOK != 2 {
 		t.Fatalf("warmup decode: %d frames (stats %+v)", len(res), stats)
 	}
-	if n := testing.AllocsPerRun(20, func() {
+	if n, _ := alloctest.Count(20, func() {
 		rx.Process(samples)
 	}); n != 0 {
-		t.Errorf("Process steady state: %v allocs/op", n)
+		t.Errorf("Process steady state: %d allocs over 20 calls", n)
 	}
 }
 

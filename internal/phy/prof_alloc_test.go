@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"smartvlc/internal/alloctest"
 	"smartvlc/internal/telemetry/prof"
 )
 
@@ -34,15 +35,15 @@ func TestProfSteadyStateZeroAllocs(t *testing.T) {
 	if res, stats := rx.Process(samples); len(res) != 2 || stats.FramesOK != 2 {
 		t.Fatalf("warmup decode: %d frames (stats %+v)", len(res), stats)
 	}
-	if n := testing.AllocsPerRun(20, func() {
+	if n, _ := alloctest.Count(20, func() {
 		RecycleSamples(link.TransmitPCG(pcg, slots))
 	}); n != 0 {
-		t.Errorf("armed TransmitPCG steady state: %v allocs/op", n)
+		t.Errorf("armed TransmitPCG steady state: %d allocs over 20 calls", n)
 	}
-	if n := testing.AllocsPerRun(20, func() {
+	if n, _ := alloctest.Count(20, func() {
 		rx.Process(samples)
 	}); n != 0 {
-		t.Errorf("armed Process steady state: %v allocs/op", n)
+		t.Errorf("armed Process steady state: %d allocs over 20 calls", n)
 	}
 	if snap := p.Snapshot(); len(snap.Series) == 0 {
 		t.Fatal("armed run recorded no series")

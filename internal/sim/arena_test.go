@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"smartvlc/internal/alloctest"
 	"smartvlc/internal/light"
 	"smartvlc/internal/optics"
 	"smartvlc/internal/telemetry"
@@ -298,18 +299,10 @@ func TestWarmSessionAllocs(t *testing.T) {
 	}
 }
 
-// warmCost calls f once to warm it, then runs times more, and returns
-// the mean allocations and bytes allocated per measured call. Like
-// testing.AllocsPerRun it pins GOMAXPROCS to 1 for the measurement.
+// warmCost returns the mean allocations and bytes allocated per call of
+// f, measured by alloctest.Count over runs warm calls.
 func warmCost(runs int, f func()) (allocs, size float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
+	mallocs, bytes := alloctest.Count(runs, f)
 	n := float64(runs)
-	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	return float64(mallocs) / n, float64(bytes) / n
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"smartvlc/internal/alloctest"
 	"smartvlc/internal/telemetry"
 )
 
@@ -31,12 +32,12 @@ func TestNilIsNoOp(t *testing.T) {
 // TestNilStageZeroAllocs pins the hot-path cost of disabled profiling.
 func TestNilStageZeroAllocs(t *testing.T) {
 	var st *Stage
-	if n := testing.AllocsPerRun(100, func() {
+	if n, _ := alloctest.Count(100, func() {
 		st.Ops(1)
 		st.Samples(480)
 		st.Slots(32)
 	}); n != 0 {
-		t.Fatalf("nil stage adders allocate %v per run, want 0", n)
+		t.Fatalf("nil stage adders allocate %d times over 100 runs, want 0", n)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"smartvlc/internal/alloctest"
 )
 
 func TestRecordOrderAndIDs(t *testing.T) {
@@ -164,20 +166,20 @@ func TestMergeConfigOrder(t *testing.T) {
 // per call at the call-site pattern the hot paths use.
 func TestDisabledZeroAllocs(t *testing.T) {
 	var nilLogger *Logger
-	if n := testing.AllocsPerRun(100, func() {
+	if n, _ := alloctest.Count(100, func() {
 		if nilLogger.Enabled(Warn) {
 			nilLogger.Record(Record{Level: Warn, Stage: "phy/decode", Msg: "x", Seq: 1})
 		}
 	}); n != 0 {
-		t.Fatalf("nil logger: %v allocs/op", n)
+		t.Fatalf("nil logger: %d allocs over 100 calls", n)
 	}
 	quiet := New(Error)
-	if n := testing.AllocsPerRun(100, func() {
+	if n, _ := alloctest.Count(100, func() {
 		if quiet.Enabled(Debug) {
 			quiet.Record(Record{Level: Debug, Stage: "phy/decode", Msg: "x", Seq: 1})
 		}
 	}); n != 0 {
-		t.Fatalf("level-filtered logger: %v allocs/op", n)
+		t.Fatalf("level-filtered logger: %d allocs over 100 calls", n)
 	}
 }
 
