@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strconv"
-
-	"smartvlc/internal/telemetry/prof"
-	"smartvlc/internal/telemetry/vlog"
 )
 
 // SeqBytes is the per-frame MAC overhead: a 2-byte sequence number
@@ -28,7 +24,6 @@ type seqBitmap [seqWords]uint64
 func (m *seqBitmap) has(seq uint16) bool { return m[seq>>6]&(1<<(seq&63)) != 0 }
 func (m *seqBitmap) set(seq uint16)      { m[seq>>6] |= 1 << (seq & 63) }
 func (m *seqBitmap) clear(seq uint16)    { m[seq>>6] &^= 1 << (seq & 63) }
-func (m *seqBitmap) reset()              { *m = seqBitmap{} }
 
 // payloadSeed keys the deterministic per-seq payload generator. Sender
 // and Receiver must derive the body from the same stream so validation
@@ -86,24 +81,11 @@ type Sender struct {
 	// PayloadBytes is the application payload per frame (128 in the
 	// paper's evaluation), excluding the sequence header.
 	PayloadBytes int
-	// Metrics, when non-nil, records timeouts, window occupancy and ACK
-	// arrivals. Nil (the default) is a no-op.
-	Metrics *Metrics
-	// Prof, when non-nil, attributes MAC framing cost (frames emitted,
-	// payload bytes) to the owning stage profiler series. Nil is a no-op.
-	Prof *prof.Stage
-	// Log, when non-nil, receives structured records for the ARQ
-	// decisions: a Warn per timeout retransmission, a Debug per
-	// window-full stall and per accepted ACK. The sender runs on the
-	// session's main goroutine, so it writes the logger directly —
-	// records interleave deterministically with the receiver records the
-	// sequential merge renders.
-	// Nil (the default) is a no-op.
-	Log *vlog.Logger
 
 	rng      *rand.Rand
 	nextSeq  uint16
 	inflight []flight // ≤ Window entries, insertion order
+	last     Decision
 
 	payloadBuf []byte
 	payloadPCG rand.PCG
@@ -128,7 +110,7 @@ func NewSender(window, payloadBytes int, timeout float64, rng *rand.Rand) (*Send
 // Reset returns the sender to its just-constructed state for the given
 // parameters, reusing the in-flight slice and payload scratch. A renting
 // arena calls this instead of NewSender so warm sessions start with zero
-// MAC allocations. Metrics and Prof are cleared, matching a fresh sender.
+// MAC allocations.
 func (s *Sender) Reset(window, payloadBytes int, timeout float64, rng *rand.Rand) error {
 	if window < 1 {
 		return fmt.Errorf("mac: window %d < 1", window)
@@ -139,20 +121,10 @@ func (s *Sender) Reset(window, payloadBytes int, timeout float64, rng *rand.Rand
 	if !(timeout > 0) || math.IsInf(timeout, 1) {
 		return fmt.Errorf("mac: timeout %v must be finite and positive", timeout)
 	}
-	s.Window = window
-	s.TimeoutSeconds = timeout
-	s.PayloadBytes = payloadBytes
-	s.Metrics = nil
-	s.Prof = nil
-	s.Log = nil
-	s.rng = rng
-	s.nextSeq = 0
-	s.inflight = s.inflight[:0]
-	s.framesSent = 0
-	s.retransmits = 0
-	s.ackedPayload = 0
-	s.acked.reset()
-	s.uniqueAcked = 0
+	*s = Sender{
+		Window: window, TimeoutSeconds: timeout, PayloadBytes: payloadBytes, rng: rng,
+		inflight: s.inflight[:0], payloadBuf: s.payloadBuf,
+	}
 	return nil
 }
 
@@ -164,12 +136,37 @@ func (s *Sender) payloadFor(seq uint16) []byte {
 	return s.payloadBuf
 }
 
+// DecisionKind names what a NextFrame call decided.
+type DecisionKind uint8
+
+const (
+	// Fresh sends a new sequence number.
+	Fresh DecisionKind = iota
+	// Retransmit sends the oldest timed-out frame again.
+	Retransmit
+	// Stall sends nothing: the window is full and nothing has timed out.
+	Stall
+)
+
+// Decision is what a NextFrame call decided and why.
+type Decision struct {
+	Kind DecisionKind
+	// InFlight counts the frames in flight when the sender decided.
+	InFlight int
+	// Age is a retransmission's time since the frame's previous
+	// transmission.
+	Age float64
+}
+
+// LastDecision returns what the last NextFrame call decided.
+func (s *Sender) LastDecision() Decision { return s.last }
+
 // NextFrame returns the next frame body to transmit at time now:
 // a timed-out retransmission if any, else a new frame if the window
 // allows. ok is false when the sender must idle. The body aliases the
 // sender's scratch buffer and is valid until the next call.
 func (s *Sender) NextFrame(now float64) (seq uint16, body []byte, ok bool) {
-	s.Metrics.observeWindow(len(s.inflight))
+	s.last = Decision{InFlight: len(s.inflight)}
 	// Oldest timed-out frame first.
 	found := false
 	oldest := -1
@@ -181,35 +178,14 @@ func (s *Sender) NextFrame(now float64) (seq uint16, body []byte, ok bool) {
 	}
 	if found {
 		f := &s.inflight[oldest]
-		age := now - f.lastTx
+		s.last.Kind, s.last.Age = Retransmit, now-f.lastTx
 		f.lastTx = now
 		s.framesSent++
 		s.retransmits++
-		s.Metrics.onTimeout()
-		if s.Log.Enabled(vlog.Warn) {
-			s.Log.Record(vlog.Record{
-				At: now, Level: vlog.Warn, Stage: "mac/retx",
-				Msg: "ack timeout, retransmitting", Seq: int64(f.seq),
-				Attrs: []vlog.Attr{
-					{Key: "age_s", Value: strconv.FormatFloat(age, 'g', -1, 64)},
-					{Key: "in_flight", Value: strconv.Itoa(len(s.inflight))},
-				},
-			})
-		}
-		body := s.payloadFor(f.seq)
-		s.Prof.Ops(1)
-		s.Prof.Bytes(int64(len(body)))
-		return f.seq, body, true
+		return f.seq, s.payloadFor(f.seq), true
 	}
 	if len(s.inflight) >= s.Window {
-		s.Metrics.onStall()
-		if s.Log.Enabled(vlog.Debug) {
-			s.Log.Record(vlog.Record{
-				At: now, Level: vlog.Debug, Stage: "mac/window",
-				Msg: "window full, sender idle", Seq: -1,
-				Attrs: []vlog.Attr{{Key: "in_flight", Value: strconv.Itoa(len(s.inflight))}},
-			})
-		}
+		s.last.Kind = Stall
 		return 0, nil, false
 	}
 	seq = s.nextSeq
@@ -219,10 +195,7 @@ func (s *Sender) NextFrame(now float64) (seq uint16, body []byte, ok bool) {
 	s.acked.clear(seq)
 	s.inflight = append(s.inflight, flight{seq: seq, lastTx: now, firstTx: now})
 	s.framesSent++
-	body = s.payloadFor(seq)
-	s.Prof.Ops(1)
-	s.Prof.Bytes(int64(len(body)))
-	return seq, body, true
+	return seq, s.payloadFor(seq), true
 }
 
 // takeFlight removes and returns the in-flight entry for seq, preserving
@@ -238,44 +211,21 @@ func (s *Sender) takeFlight(seq uint16) (f flight, ok bool) {
 	return flight{}, false
 }
 
-// recordAck marks seq acknowledged, crediting its payload once per
-// incarnation.
-func (s *Sender) recordAck(seq uint16) {
+// OnAckAt processes an acknowledgement arriving at time at, crediting its
+// payload once per incarnation, and returns the end-to-end latency from
+// the sequence number's FIRST transmission — the delay the application
+// experienced, retransmissions included. ok is false for duplicate ACKs
+// (latency already reported) and for sequence numbers this sender never
+// sent.
+func (s *Sender) OnAckAt(seq uint16, at float64) (latency float64, ok bool) {
+	if f, found := s.takeFlight(seq); found {
+		latency, ok = at-f.firstTx, true
+	}
 	if !s.acked.has(seq) {
 		s.acked.set(seq)
 		s.uniqueAcked++
 		s.ackedPayload += int64(s.PayloadBytes)
 	}
-}
-
-// OnAck processes an acknowledgement without a timestamp: bookkeeping
-// only, no latency is recorded. Callers that know the arrival time should
-// use OnAckAt.
-func (s *Sender) OnAck(seq uint16) {
-	s.Metrics.onAck()
-	s.takeFlight(seq)
-	s.recordAck(seq)
-}
-
-// OnAckAt processes an acknowledgement arriving at time at and returns
-// the end-to-end latency from the sequence number's FIRST transmission —
-// the delay the application experienced, retransmissions included. ok is
-// false for duplicate ACKs (latency already reported) and for sequence
-// numbers this sender never sent.
-func (s *Sender) OnAckAt(seq uint16, at float64) (latency float64, ok bool) {
-	s.Metrics.onAck()
-	if f, found := s.takeFlight(seq); found {
-		latency, ok = at-f.firstTx, true
-		s.Metrics.observeAckLatency(latency)
-		if s.Log.Enabled(vlog.Debug) {
-			s.Log.Record(vlog.Record{
-				At: at, Level: vlog.Debug, Stage: "mac/ack",
-				Msg: "ack accepted", Seq: int64(seq),
-				Attrs: []vlog.Attr{{Key: "latency_s", Value: strconv.FormatFloat(latency, 'g', -1, 64)}},
-			})
-		}
-	}
-	s.recordAck(seq)
 	return latency, ok
 }
 
@@ -284,7 +234,6 @@ func (s *Sender) FramesSent() int     { return s.framesSent }
 func (s *Sender) Retransmits() int    { return s.retransmits }
 func (s *Sender) AckedPayload() int64 { return s.ackedPayload }
 func (s *Sender) InFlight() int       { return len(s.inflight) }
-func (s *Sender) FrameBytes() int     { return SeqBytes + s.PayloadBytes }
 
 // UniqueAcked counts acknowledged frame incarnations. Within the first
 // 65536 frames this equals the number of distinct acked sequence numbers;
@@ -322,13 +271,7 @@ func NewReceiverSide(payloadBytes int) *Receiver {
 // Reset returns the receiver to its just-constructed state, reusing the
 // validation scratch, so an arena can rent it across sessions.
 func (r *Receiver) Reset(payloadBytes int) {
-	r.payloadBytes = payloadBytes
-	r.seen.reset()
-	r.head = 0
-	r.headSet = false
-	r.delivered = 0
-	r.duplicates = 0
-	r.corrupt = 0
+	*r = Receiver{payloadBytes: payloadBytes, wantBuf: r.wantBuf}
 }
 
 // advanceHead moves the dedup window head forward to seq, clearing the

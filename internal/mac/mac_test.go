@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"smartvlc/internal/alloctest"
-	"smartvlc/internal/telemetry"
 )
 
 func TestSideChannelDelivery(t *testing.T) {
@@ -74,7 +73,7 @@ func TestSenderWindowLimits(t *testing.T) {
 	if _, _, ok := s.NextFrame(0.01); ok {
 		t.Fatal("window overrun")
 	}
-	s.OnAck(seqs[0])
+	s.OnAckAt(seqs[0], 0.01)
 	if _, _, ok := s.NextFrame(0.02); !ok {
 		t.Fatal("window did not reopen after ack")
 	}
@@ -106,8 +105,8 @@ func TestAckAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	s, _ := NewSender(8, 100, 0.05, rng)
 	seq, _, _ := s.NextFrame(0)
-	s.OnAck(seq)
-	s.OnAck(seq) // duplicate ack counts once
+	s.OnAckAt(seq, 0.01)
+	s.OnAckAt(seq, 0.02) // duplicate ack counts once
 	if s.AckedPayload() != 100 {
 		t.Fatalf("acked payload %d", s.AckedPayload())
 	}
@@ -145,16 +144,46 @@ func TestAckLatencyFromFirstTransmission(t *testing.T) {
 	}
 }
 
-func TestAckLatencyMetricsHistogram(t *testing.T) {
-	reg := telemetry.New()
+// TestSenderReportsDecisions: every NextFrame call leaves what it decided
+// and the in-flight count it decided on, and a retransmission's age.
+func TestSenderReportsDecisions(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 8))
-	s, _ := NewSender(8, 100, 0.05, rng)
-	s.Metrics = NewMetrics(reg)
-	seq, _, _ := s.NextFrame(0)
-	s.OnAckAt(seq, 0.025)
-	h := reg.Histogram("mac_ack_latency_seconds")
-	if h.Count() != 1 || math.Abs(h.Sum()-0.025) > 1e-12 {
-		t.Fatalf("ack latency histogram count=%d sum=%v", h.Count(), h.Sum())
+	s, _ := NewSender(1, 100, 0.05, rng)
+	want := func(at float64, d Decision) {
+		t.Helper()
+		s.NextFrame(at)
+		if got := s.LastDecision(); got != d {
+			t.Fatalf("at %v: decision %+v, want %+v", at, got, d)
+		}
+	}
+	want(0, Decision{Kind: Fresh, InFlight: 0})
+	want(0.01, Decision{Kind: Stall, InFlight: 1})
+	want(0.0625, Decision{Kind: Retransmit, InFlight: 1, Age: 0.0625})
+	s.OnAckAt(0, 0.07)
+	want(0.08, Decision{Kind: Fresh, InFlight: 0})
+}
+
+// TestUplinksReportArrivals: Send returns each datagram's arrival time,
+// the time Receive later stamps on it, or reports the drop.
+func TestUplinksReportArrivals(t *testing.T) {
+	sc := NewSideChannel(0.002, 0.001, 0.5, rand.New(rand.NewPCG(1, 2)))
+	u := NewVLCUplink(10e3, 100, 2.5, 2.0)
+	for _, up := range []Uplink{sc, u, NewVLCUplink(10e3, 100, 2.0, 3.5)} {
+		arrivals := map[uint16]float64{}
+		for i := range 64 {
+			if at, ok := up.Send(float64(i)*1e-3, Message{Kind: KindAck, Seq: uint16(i)}); ok {
+				arrivals[uint16(i)] = at
+			}
+		}
+		got := up.Receive(10)
+		if len(got) != len(arrivals) {
+			t.Fatalf("%T: %d delivered, Send reported %d", up, len(got), len(arrivals))
+		}
+		for _, m := range got {
+			if at, ok := arrivals[m.Seq]; !ok || at != m.At {
+				t.Fatalf("%T: seq %d arrived at %v, Send reported %v (ok %v)", up, m.Seq, m.At, at, ok)
+			}
+		}
 	}
 }
 
@@ -228,7 +257,7 @@ func TestEndToEndARQConvergesUnderLoss(t *testing.T) {
 		now += 0.005
 		for _, m := range sc.Receive(now) {
 			if m.Kind == KindAck {
-				s.OnAck(m.Seq)
+				s.OnAckAt(m.Seq, m.At)
 			}
 		}
 	}
@@ -330,7 +359,7 @@ func TestLongSessionWindowedBookkeeping(t *testing.T) {
 		if !ackIt || gotSeq != seq {
 			t.Fatalf("cycle %d: receiver seq=%d ackIt=%v, want seq=%d", i, gotSeq, ackIt, seq)
 		}
-		s.OnAck(seq)
+		s.OnAckAt(seq, now)
 		now += 0.001
 	}
 	if s.UniqueAcked() != cycles {
@@ -357,7 +386,7 @@ func TestLongSessionWindowedBookkeeping(t *testing.T) {
 		if _, ackIt := r.OnFrame(body); !ackIt {
 			t.Fatal("frame rejected")
 		}
-		s.OnAck(seq)
+		s.OnAckAt(seq, now)
 		now += 0.001
 	})
 	if allocs != 0 {

@@ -42,65 +42,41 @@ import (
 // latency, a few dozen frames), two orders of magnitude below 1024.
 const seqRingSize = 1 << 10
 
-// rootRing replaces the per-session map[uint16]span.ID of frame root
-// spans. Entries are tagged with (generation, seq); a lookup that misses
-// returns the zero span ID, exactly like the map it replaces.
-type rootRing struct {
+// seqRing replaces a per-session map[uint16]V over the in-window
+// sequence numbers: the frame root spans, and the broadcast loop's first
+// transmission times. Entries are tagged with (generation, seq); a lookup
+// that misses returns the zero V, exactly like the map it replaces.
+type seqRing[V any] struct {
 	gen uint32
 	ent [seqRingSize]struct {
 		gen uint32
 		seq uint16
-		id  span.ID
+		v   V
 	}
 }
 
-func (r *rootRing) reset() { r.gen++ }
+func (r *seqRing[V]) reset() { r.gen++ }
 
-func (r *rootRing) set(seq uint16, id span.ID) {
+func (r *seqRing[V]) set(seq uint16, v V) {
 	e := &r.ent[seq&(seqRingSize-1)]
-	e.gen, e.seq, e.id = r.gen, seq, id
+	e.gen, e.seq, e.v = r.gen, seq, v
 }
 
-// get returns seq's root span, or zero — matching the empty-map read of
-// unarmed sessions, for which the ring is nil.
-func (r *rootRing) get(seq uint16) span.ID {
+// get returns seq's value; a nil ring (the roots of a session without
+// spans) holds none.
+func (r *seqRing[V]) get(seq uint16) (v V, ok bool) {
 	if r == nil {
-		return 0
+		return v, false
 	}
 	e := &r.ent[seq&(seqRingSize-1)]
 	if e.gen == r.gen && e.seq == seq {
-		return e.id
+		return e.v, true
 	}
-	return 0
+	return v, false
 }
 
-// timeRing replaces the broadcast loop's map[uint16]float64 of first
-// transmission times.
-type timeRing struct {
-	gen uint32
-	ent [seqRingSize]struct {
-		gen uint32
-		seq uint16
-		at  float64
-	}
-}
-
-func (r *timeRing) reset() { r.gen++ }
-
-func (r *timeRing) set(seq uint16, at float64) {
-	e := &r.ent[seq&(seqRingSize-1)]
-	e.gen, e.seq, e.at = r.gen, seq, at
-}
-
-func (r *timeRing) get(seq uint16) (float64, bool) {
-	e := &r.ent[seq&(seqRingSize-1)]
-	if e.gen == r.gen && e.seq == seq {
-		return e.at, true
-	}
-	return 0, false
-}
-
-func (r *timeRing) drop(seq uint16) {
+// drop forgets seq's value (the map's delete).
+func (r *seqRing[V]) drop(seq uint16) {
 	e := &r.ent[seq&(seqRingSize-1)]
 	if e.gen == r.gen && e.seq == seq {
 		e.gen = 0
@@ -192,12 +168,13 @@ type Arena struct {
 	slotBuf     []bool
 	vSlotLen    int // virtual slot-buffer high-water; drives the frame-stage alloc counter
 	deliveredAt []float64
-	roots       *rootRing // lazily built: only span-armed sessions write it
+	ackLat      []float64         // a broadcast desk's ACK latencies of one frame
+	roots       *seqRing[span.ID] // lazily built: only span-armed sessions write it
 
 	// Broadcast bookkeeping, lazily built on the first broadcast rent.
 	acked    *ackRing
 	complete *seqBits
-	firstTx  *timeRing
+	firstTx  *seqRing[float64]
 
 	sess session
 	step func(int) // sess.step, bound once for pooled fan-outs
@@ -211,29 +188,25 @@ func NewArena() *Arena { return &Arena{} }
 // Run is sim.Run executing out of the arena: identical results and
 // snapshots, with the session's working state rented from a instead of
 // freshly allocated. See Run for the profiling-label behavior.
-func (a *Arena) Run(cfg Config, duration float64) (Result, error) {
-	if cfg.Prof == nil || cfg.Scheme == nil {
-		return run(cfg, duration, a)
-	}
-	var res Result
-	var err error
-	parallel.Do(func() { res, err = run(cfg, duration, a) },
-		"session", strconv.FormatUint(cfg.Seed, 10),
-		"scheme", cfg.Scheme.Name())
+func (a *Arena) Run(cfg Config, duration float64) (res Result, err error) {
+	labelled(&cfg, func() { res, err = run(cfg, duration, a) })
 	return res, err
 }
 
 // RunBroadcast is sim.RunBroadcast executing out of the arena.
-func (a *Arena) RunBroadcast(cfg BroadcastConfig, duration float64) (BroadcastResult, error) {
-	if cfg.Prof == nil || cfg.Scheme == nil {
-		return runBroadcast(cfg, duration, a)
-	}
-	var res BroadcastResult
-	var err error
-	parallel.Do(func() { res, err = runBroadcast(cfg, duration, a) },
-		"session", strconv.FormatUint(cfg.Seed, 10),
-		"scheme", cfg.Scheme.Name())
+func (a *Arena) RunBroadcast(cfg BroadcastConfig, duration float64) (res BroadcastResult, err error) {
+	labelled(&cfg.Config, func() { res, err = runBroadcast(cfg, duration, a) })
 	return res, err
+}
+
+// labelled runs f, under the session's pprof goroutine labels when the
+// stage profiler is armed.
+func labelled(cfg *Config, f func()) {
+	if cfg.Prof == nil || cfg.Scheme == nil {
+		f()
+		return
+	}
+	parallel.Do(f, "session", strconv.FormatUint(cfg.Seed, 10), "scheme", cfg.Scheme.Name())
 }
 
 // reseed rewinds the arena's side-channel and MAC generators onto the
@@ -257,25 +230,16 @@ func (a *Arena) reseed(seed uint64, m mode) {
 // on first use), on the arena's MAC stream.
 func (a *Arena) rentSender(window, payloadBytes int, timeout float64) (*mac.Sender, error) {
 	if a.sender == nil {
-		s, err := mac.NewSender(window, payloadBytes, timeout, a.macRng)
-		if err != nil {
-			return nil, err
-		}
-		a.sender = s
-		return s, nil
+		a.sender = new(mac.Sender)
 	}
-	if err := a.sender.Reset(window, payloadBytes, timeout, a.macRng); err != nil {
-		return nil, err
-	}
-	return a.sender, nil
+	return a.sender, a.sender.Reset(window, payloadBytes, timeout, a.macRng)
 }
 
 // rentSideChannel resets the arena's Wi-Fi side channel on the arena's
 // side stream.
 func (a *Arena) rentSideChannel(latency, jitter, loss float64) *mac.SideChannel {
 	if a.sideCh == nil {
-		a.sideCh = mac.NewSideChannel(latency, jitter, loss, a.sideRng)
-		return a.sideCh
+		a.sideCh = new(mac.SideChannel)
 	}
 	a.sideCh.Reset(latency, jitter, loss, a.sideRng)
 	return a.sideCh
@@ -284,8 +248,7 @@ func (a *Arena) rentSideChannel(latency, jitter, loss float64) *mac.SideChannel 
 // rentVLCUplink resets the arena's VLC return link.
 func (a *Arena) rentVLCUplink(bitRate float64, messageBits int, rangeM, distanceM float64) *mac.VLCUplink {
 	if a.vlcUp == nil {
-		a.vlcUp = mac.NewVLCUplink(bitRate, messageBits, rangeM, distanceM)
-		return a.vlcUp
+		a.vlcUp = new(mac.VLCUplink)
 	}
 	a.vlcUp.Reset(bitRate, messageBits, rangeM, distanceM)
 	return a.vlcUp
@@ -294,8 +257,7 @@ func (a *Arena) rentVLCUplink(bitRate float64, messageBits int, rangeM, distance
 // rentSensor resets the arena's ambient-light filter.
 func (a *Arena) rentSensor(pd hw.Photodiode) *hw.Filter {
 	if a.sensor == nil {
-		a.sensor = hw.NewFilter(pd)
-		return a.sensor
+		a.sensor = new(hw.Filter)
 	}
 	a.sensor.Reset(pd)
 	return a.sensor
@@ -343,7 +305,7 @@ func (a *Arena) rentShards(n int, seed, salt uint64, payloadBytes int) []*shard 
 		}
 		sh.link = phy.Link{}
 		sh.lastLux = math.Inf(-1)
-		sh.mon = nil
+		sh.mon, sh.health = nil, nil
 		sh.prof = rxProf{}
 		sh.out.reset()
 		sh.remote, sh.reported = 0, false
@@ -353,14 +315,13 @@ func (a *Arena) rentShards(n int, seed, salt uint64, payloadBytes int) []*shard 
 }
 
 // rentRoots returns the reset frame-root ring when spans are armed, and
-// nil otherwise — rootRing.get is nil-safe and returns the zero span ID,
-// exactly like the empty map unarmed sessions used to read.
-func (a *Arena) rentRoots(armed bool) *rootRing {
+// nil otherwise — a nil ring's get misses, returning the zero span ID.
+func (a *Arena) rentRoots(armed bool) *seqRing[span.ID] {
 	if !armed {
 		return nil
 	}
 	if a.roots == nil {
-		a.roots = new(rootRing)
+		a.roots = new(seqRing[span.ID])
 	}
 	a.roots.reset()
 	return a.roots
@@ -369,11 +330,11 @@ func (a *Arena) rentRoots(armed bool) *rootRing {
 // rentBcBookkeeping resets the broadcast loop's reliable-delivery
 // structures: the per-seq receiver-ack sets, the completed-seq bitmap and
 // the first-transmission time ring.
-func (a *Arena) rentBcBookkeeping(nRx int) (*ackRing, *seqBits, *timeRing) {
+func (a *Arena) rentBcBookkeeping(nRx int) (*ackRing, *seqBits, *seqRing[float64]) {
 	if a.acked == nil {
 		a.acked = new(ackRing)
 		a.complete = new(seqBits)
-		a.firstTx = new(timeRing)
+		a.firstTx = new(seqRing[float64])
 	}
 	a.acked.reset(nRx)
 	a.complete.resetAll()

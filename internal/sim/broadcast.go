@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"smartvlc/internal/light"
@@ -146,7 +145,6 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	}
 	defer s.close()
 	nRx := len(s.shards)
-	s.reg.Help("sim_reliable_goodput_bps", "Payload rate acknowledged by every receiver.")
 
 	// Reliable multicast bookkeeping: which receivers acked each frame,
 	// which frames every receiver has acked, and each sequence number's
@@ -169,7 +167,7 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 		reliableBytes += int64(cfg.PayloadBytes)
 		lat, known := s.sender.OnAckAt(m.Seq, m.At)
 		firstTx.drop(m.Seq)
-		s.recordAck(m, lat, known)
+		s.emit(&record{kind: recAck, at: m.At, seq: m.Seq, latency: lat, ok: known, shard: -1})
 	}
 
 	var res BroadcastResult
@@ -209,15 +207,16 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 			}
 		}
 
-		seq, body, ok := s.sender.NextFrame(s.now)
+		seq, body, ok := s.next()
 		if !ok {
 			s.now += cfg.AckTimeoutSeconds / 8
 			continue
 		}
-		if err := s.transmit(seq, body); err != nil {
+		end, err := s.transmit(seq, body)
+		if err != nil {
 			return BroadcastResult{}, err
 		}
-		if !s.retx {
+		if s.sender.LastDecision().Kind == mac.Fresh {
 			// A fresh sequence number supersedes any prior incarnation
 			// (post-wrap reuse): forget its completed/acked state so late
 			// bookkeeping from the old incarnation can't leak into the new
@@ -226,21 +225,20 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 			acked.drop(seq)
 			firstTx.set(seq, s.now)
 		}
-		// Deterministic merge in receiver order, reproducing the serial
-		// loop's span, log, event and uplink-stream sequence exactly.
-		end := s.now + s.airtime
+		// Deterministic merge in receiver order. Each desk's ACK latency
+		// runs from the sequence number's first transmission to the
+		// frame's end.
 		for i, sh := range s.shards {
-			s.splice(i)
-			s.observeRx(i, end)
+			lat := a.ackLat[:0]
 			for _, newSeq := range sh.out.newSeqs {
-				sh.mon.ObserveDelivered(end, int64(cfg.PayloadBytes)*8)
 				if ft, known := firstTx.get(newSeq); known {
-					// Latency to this receiver's acknowledgment, from the
-					// sequence number's first transmission.
-					sh.mon.ObserveAck(end, end-ft)
+					lat = append(lat, end-ft)
 				}
 			}
-			s.uplink(i, end)
+			a.ackLat = lat
+			if err := s.merge(i, end, lat); err != nil {
+				return BroadcastResult{}, err
+			}
 		}
 		s.now = end
 	}
@@ -259,11 +257,17 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 	if s.controller != nil {
 		res.Adjustments = s.controller.Adjustments()
 	}
+	res.Telemetry, res.Spans, res.Prof, res.Logs, err = s.finish(&record{kind: recEnd, at: now, goodput: res.ReliableGoodputBps, tally: []tally{
+		{"frames_sent", res.FramesSent}, {"receivers", nRx},
+	}})
+	if err != nil {
+		return BroadcastResult{}, err
+	}
 	for _, sh := range s.shards {
 		o := ReceiverOutcome{
 			FramesOK:     int(sh.macRx.DeliveredPayload()) / cfg.PayloadBytes,
 			DeliveredBps: float64(sh.macRx.DeliveredPayload()) * 8 / now,
-			Health:       sh.mon.Finish(now),
+			Health:       sh.health,
 		}
 		if sh.sumN > 0 {
 			o.MeanSum = sh.sumAcc / float64(sh.sumN)
@@ -277,13 +281,5 @@ func runBroadcast(cfg BroadcastConfig, duration float64, a *Arena) (BroadcastRes
 		}
 		res.Health = health.Merge(perRx...)
 	}
-	res.Telemetry, res.Spans, res.Prof = s.finish(now, "sim_reliable_goodput_bps", res.ReliableGoodputBps)
-	res.Logs = s.logEnd(func() []vlog.Attr {
-		return []vlog.Attr{
-			{Key: "reliable_goodput_bps", Value: fmtAttr(res.ReliableGoodputBps)},
-			{Key: "frames_sent", Value: strconv.Itoa(res.FramesSent)},
-			{Key: "receivers", Value: strconv.Itoa(nRx)},
-		}
-	})
 	return res, nil
 }

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"math"
-	"strconv"
 
 	"smartvlc/internal/hw"
 	"smartvlc/internal/light"
@@ -232,8 +231,6 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 	}
 	defer s.close()
 	sh := s.shards[0]
-	s.reg.Help("sim_goodput_bps", "Acknowledged unique payload bits per second over the whole session.")
-	deliveredC := s.reg.Counter("sim_delivered_bytes_total")
 	sensor := a.rentSensor(hw.OPT101())
 
 	var res Result
@@ -242,10 +239,7 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 	const recordEvery = 0.25
 	ack := func(m mac.Message) {
 		lat, known := s.sender.OnAckAt(m.Seq, m.At)
-		if known {
-			sh.mon.ObserveAck(m.At, lat)
-		}
-		s.recordAck(m, lat, known)
+		s.emit(&record{kind: recAck, at: m.At, seq: m.Seq, latency: lat, ok: known, shard: 0})
 	}
 
 	// Latest ambient report received from the receiver over the Wi-Fi
@@ -290,51 +284,26 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 			}
 		}
 
-		seq, body, ok := s.sender.NextFrame(s.now)
+		seq, body, ok := s.next()
 		if !ok {
 			// Window full: the LED idles at the dimming level.
 			s.now += cfg.AckTimeoutSeconds / 8
 			continue
 		}
-		if err := s.transmit(seq, body); err != nil {
+		end, err := s.transmit(seq, body)
+		if err != nil {
 			return Result{}, err
 		}
-		end := s.now + s.airtime
 		out := &sh.out
-		class := s.splice(0)
-		if cfg.Flight != nil {
-			reason := ""
-			switch {
-			case len(s.pendingSLO) > 0:
-				// An SLO breach outranks the per-frame reasons: it is the
-				// rarer event and names the objective that burned.
-				reason = "slo_" + s.pendingSLO[0].Objective
-				s.pendingSLO = s.pendingSLO[:0]
-			case out.stats.FramesBad > 0:
-				reason = "decode"
-			case out.stats.FramesOK == 0: // every decoded frame counts as ok
-				reason = "hunt"
-			case cfg.Flight.Config().SERThreshold > 0 && out.stats.SymbolErrors >= cfg.Flight.Config().SERThreshold:
-				reason = "ser"
-			case s.retx:
-				reason = "ack_timeout"
-			}
-			if reason != "" {
-				if err := s.trigger(reason, class, int64(seq), s.root, end); err != nil {
-					return Result{}, err
-				}
-			}
-		}
 		res.FramesOK += out.stats.FramesOK
 		res.FramesBad += out.stats.FramesBad
 		res.SymbolErrors += out.stats.SymbolErrors
-		s.observeRx(0, end)
 		for range out.newSeqs {
 			deliveredAt = append(deliveredAt, end)
-			deliveredC.Add(int64(cfg.PayloadBytes))
-			sh.mon.ObserveDelivered(end, int64(cfg.PayloadBytes)*8)
 		}
-		s.uplink(0, end)
+		if err := s.merge(0, end, nil); err != nil {
+			return Result{}, err
+		}
 		s.now = end
 	}
 
@@ -355,53 +324,14 @@ func run(cfg Config, duration float64, a *Arena) (Result, error) {
 		res.Adjustments = s.controller.Adjustments()
 	}
 	res.Throughput = throughputSeries(deliveredAt, cfg.PayloadBytes, now)
-	res.Health = sh.mon.Finish(now)
-	if len(s.pendingSLO) > 0 {
-		// A critical transition in the run's last instants may not have met
-		// a later frame to consume it; it still ships a bundle.
-		if err := s.trigger("slo_"+s.pendingSLO[0].Objective, "", -1, 0, now); err != nil {
-			return Result{}, err
-		}
+	res.Telemetry, res.Spans, res.Prof, res.Logs, err = s.finish(&record{kind: recEnd, at: now, goodput: res.GoodputBps, tally: []tally{
+		{"frames_ok", res.FramesOK}, {"frames_bad", res.FramesBad}, {"retransmits", res.Retransmits},
+	}})
+	if err != nil {
+		return Result{}, err
 	}
-	res.Telemetry, res.Spans, res.Prof = s.finish(now, "sim_goodput_bps", res.GoodputBps)
-	res.Logs = s.logEnd(func() []vlog.Attr {
-		return []vlog.Attr{
-			{Key: "goodput_bps", Value: fmtAttr(res.GoodputBps)},
-			{Key: "frames_ok", Value: strconv.Itoa(res.FramesOK)},
-			{Key: "frames_bad", Value: strconv.Itoa(res.FramesBad)},
-			{Key: "retransmits", Value: strconv.Itoa(res.Retransmits)},
-		}
-	})
+	res.Health = sh.health
 	return res, nil
-}
-
-// trigger writes a flight bundle for reason at sim time at, logging the
-// trigger first so the bundle's own logs.ndjson tail ends with the record
-// explaining it. Frame triggers carry the frame's seq, root span and
-// decode class; the end-of-session SLO trigger passes seq -1 and no
-// class.
-func (s *session) trigger(reason, class string, seq int64, root span.ID, at float64) error {
-	if s.lg.Enabled(vlog.Warn) {
-		r := vlog.Record{
-			At: at, Level: vlog.Warn, Stage: "sim/flight", Msg: "flight bundle triggered: " + reason,
-			Seq: seq, Span: int64(root), Scheme: s.schemeName, Dim: fmtAttr(s.level),
-		}
-		if class != "" {
-			r.Attrs = []vlog.Attr{{Key: "class", Value: class}}
-		}
-		s.lg.Record(r)
-	}
-	var msnap *telemetry.Snapshot
-	if s.reg != nil {
-		msnap = s.reg.Snapshot()
-	}
-	meta := flight.Meta{
-		Reason: reason, Class: class, Seq: seq, At: at, Seed: s.cfg.Seed, Scheme: s.schemeName,
-		Level: s.level, Threshold: s.shards[0].rx.Threshold(),
-		TSlotSeconds: tslot, PayloadBytes: s.cfg.PayloadBytes,
-	}
-	_, err := s.cfg.Flight.Trigger(meta, s.col.Snapshot(), msnap, logSnap(s.lg))
-	return err
 }
 
 // throughputSeries buckets delivery events into one-second bins, the way

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
 
 	"smartvlc/internal/light"
 	"smartvlc/internal/optics"
 	"smartvlc/internal/telemetry"
+	"smartvlc/internal/telemetry/vlog"
 )
 
 // TestRunTelemetryDeterministic is the ISSUE acceptance criterion: two
@@ -81,6 +84,38 @@ func TestRunTelemetryContent(t *testing.T) {
 	}
 	if counter("mac_acks_received_total") == 0 {
 		t.Error("mac_acks_received_total never incremented")
+	}
+}
+
+// TestAckLatencyMetricsHistogram: the ACK latency histogram holds one
+// observation per acknowledged frame — exactly the latencies the
+// "ack accepted" log records report, one per unique acknowledged frame.
+func TestAckLatencyMetricsHistogram(t *testing.T) {
+	cfg := DefaultConfig(amppmScheme(t))
+	cfg.Telemetry = telemetry.New()
+	cfg.Logs = vlog.New(vlog.Debug)
+	res, err := Run(cfg, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	var sum float64
+	for _, r := range res.Logs.Records {
+		if r.Msg != "ack accepted" {
+			continue
+		}
+		v, _ := r.Attr("latency_s")
+		lat, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, sum = n+1, sum+lat
+	}
+	h := cfg.Telemetry.Histogram("mac_ack_latency_seconds")
+	acked := int64(math.Round(res.GoodputBps * res.Duration / 8 / float64(cfg.PayloadBytes)))
+	if n == 0 || h.Count() != n || h.Count() != acked || math.Abs(h.Sum()-sum) > 1e-9 {
+		t.Fatalf("histogram count=%d sum=%v; logs report %d latencies summing to %v; %d frames acknowledged",
+			h.Count(), h.Sum(), n, sum, acked)
 	}
 }
 
