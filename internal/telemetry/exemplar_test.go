@@ -66,17 +66,16 @@ func TestExemplarReservoirOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestAttachExemplarDoesNotCount verifies that AttachExemplar files an
-// exemplar without changing count/sum/buckets — the contract that lets
-// call sites attach context to values Observed elsewhere.
-func TestAttachExemplarDoesNotCount(t *testing.T) {
+// TestObserveExemplarCountsOnce verifies that ObserveExemplar records its
+// value exactly once and files the exemplar, value forced to the
+// observation, in that value's bucket.
+func TestObserveExemplarCountsOnce(t *testing.T) {
 	r := New()
 	h := r.Histogram("lat")
-	h.Observe(0.5)
-	h.AttachExemplar(0.5, Exemplar{At: 1.25, Seq: 9, Span: 42})
+	h.ObserveExemplar(0.5, Exemplar{Value: 7, At: 1.25, Seq: 9, Span: 42})
 	hs := r.Snapshot().Histograms[0]
 	if hs.Count != 1 || hs.Sum != 0.5 {
-		t.Fatalf("count=%d sum=%v after attach, want 1 and 0.5", hs.Count, hs.Sum)
+		t.Fatalf("count=%d sum=%v, want 1 and 0.5", hs.Count, hs.Sum)
 	}
 	if len(hs.Exemplars) != 1 || len(hs.Exemplars[0].Exemplars) != 1 {
 		t.Fatalf("exemplars %+v, want one bucket with one exemplar", hs.Exemplars)
@@ -95,7 +94,6 @@ func TestAttachExemplarDoesNotCount(t *testing.T) {
 func TestNilHistogramExemplarNoOp(t *testing.T) {
 	var h *Histogram
 	h.ObserveExemplar(1, Exemplar{})
-	h.AttachExemplar(1, Exemplar{})
 	if h.exemplars() != nil {
 		t.Fatal("nil histogram returned exemplars")
 	}

@@ -371,25 +371,14 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one value and attaches an exemplar for it in
-// the same bucket. No-op on nil.
+// ObserveExemplar records one value and files ex into the reservoir of
+// the bucket it maps to. ex.Value is forced to v so the exemplar always
+// matches its bucket. No-op on nil.
 func (h *Histogram) ObserveExemplar(v float64, ex Exemplar) {
 	if h == nil {
 		return
 	}
 	h.Observe(v)
-	h.AttachExemplar(v, ex)
-}
-
-// AttachExemplar files ex into the reservoir of the bucket that v maps
-// to, without recording an observation — for call sites where the value
-// was already Observed elsewhere (e.g. inside the MAC) and only the
-// caller knows the span/seq context. ex.Value is forced to v so the
-// exemplar always matches its bucket. No-op on nil.
-func (h *Histogram) AttachExemplar(v float64, ex Exemplar) {
-	if h == nil {
-		return
-	}
 	ex.Value = v
 	i := bucketIndex(v)
 	h.exMu.Lock()
