@@ -132,7 +132,7 @@ func (t *Table) Select(level float64) (SuperSymbol, error) {
 
 func (t *Table) selectUncached(level float64) (SuperSymbol, error) {
 	lo, hi := t.LevelRange()
-	if level < lo || level > hi {
+	if !(level >= lo && level <= hi) { // NaN fails too
 		return SuperSymbol{}, fmt.Errorf("amppm: level %.4f outside supported range [%.4f, %.4f]", level, lo, hi)
 	}
 	vs := t.vertices

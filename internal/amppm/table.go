@@ -260,7 +260,7 @@ func (t *Table) LevelRange() (lo, hi float64) {
 // span return 0.
 func (t *Table) EnvelopeRateAt(level float64) float64 {
 	vs := t.vertices
-	if level < vs[0].Level || level > vs[len(vs)-1].Level {
+	if !(level >= vs[0].Level && level <= vs[len(vs)-1].Level) { // NaN fails too
 		return 0
 	}
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].Level >= level })

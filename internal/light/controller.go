@@ -38,7 +38,7 @@ type Controller struct {
 // NewController returns a controller starting at the level required for
 // zero ambient light.
 func NewController(targetSum float64, stepper Stepper) (*Controller, error) {
-	if targetSum <= 0 || targetSum > 2 {
+	if !(targetSum > 0 && targetSum <= 2) { // NaN fails too
 		return nil, fmt.Errorf("light: implausible target sum %v", targetSum)
 	}
 	if stepper == nil {

@@ -145,7 +145,7 @@ func (s Steps) LuxAt(t float64) float64 {
 // lux value that equals one full LED (the illuminance the LED itself
 // contributes to the work area at full power).
 func Normalize(lux, fullLEDLux float64) float64 {
-	if fullLEDLux <= 0 {
+	if !(fullLEDLux > 0) { // NaN fails too
 		return 0
 	}
 	return lux / fullLEDLux

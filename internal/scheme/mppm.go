@@ -35,8 +35,12 @@ func (m *MPPM) LevelRange() (float64, float64) {
 }
 
 // CodecFor implements Scheme. The target level is rounded to the nearest
-// supported K/N — the coarse step-wise dimming that motivates AMPPM.
+// supported K/N — the coarse step-wise dimming that motivates AMPPM. A
+// level that is not finite has no nearest K/N.
 func (m *MPPM) CodecFor(level float64) (frame.PayloadCodec, error) {
+	if math.IsNaN(level) || math.IsInf(level, 0) {
+		return nil, fmt.Errorf("%w: MPPM level %v", ErrLevelUnsupported, level)
+	}
 	k := int(math.Round(level * float64(m.N)))
 	if k < 1 {
 		k = 1

@@ -35,6 +35,13 @@ func TestBroadcastValidation(t *testing.T) {
 			t.Fatalf("duration %v accepted", d)
 		}
 	}
+	for _, h := range hostileConfigs {
+		cfg := broadcastConfig(t, ReceiverPose{Geometry: optics.Aligned(2, 0)}, ReceiverPose{Geometry: optics.Aligned(3, 4)})
+		h.edit(&cfg.Config)
+		if _, err := RunBroadcast(cfg, 0.05); err == nil {
+			t.Errorf("%s accepted", h.name)
+		}
+	}
 
 	// The single-link facilities are refused by name, never ignored.
 	rec, err := flight.New(flight.Config{Dir: t.TempDir()})

@@ -40,6 +40,42 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(cfg, 1); err == nil {
 		t.Fatal("bad geometry accepted")
 	}
+	for _, h := range hostileConfigs {
+		cfg := DefaultConfig(s)
+		h.edit(&cfg)
+		if _, err := Run(cfg, 0.05); err == nil {
+			t.Errorf("%s accepted", h.name)
+		}
+	}
+}
+
+// hostileConfigs are config edits every session entry point rejects with
+// an error. Without the checks, a NaN level, target or full-LED lux
+// panicked the codec lookup, a huge gap exhausted memory, a NaN or
+// infinite uplink delay meant no ACK ever arrived, and a NaN loss
+// probability turned loss off.
+var hostileConfigs = []struct {
+	name string
+	edit func(*Config)
+}{
+	{"NaN FixedLevel", func(c *Config) { c.FixedLevel = math.NaN() }},
+	{"NaN TargetSum", func(c *Config) { c.Trace, c.TargetSum = light.Static{Lux: 300}, math.NaN() }},
+	{"NaN FullLEDLux", func(c *Config) { c.Trace, c.FullLEDLux = light.Static{Lux: 300}, math.NaN() }},
+	{"negative IdleGapSlots", func(c *Config) { c.IdleGapSlots = -1 }},
+	{"IdleGapSlots above the cap", func(c *Config) { c.IdleGapSlots = maxIdleGapSlots + 1 }},
+	{"NaN SideLatencySeconds", func(c *Config) { c.SideLatencySeconds = math.NaN() }},
+	{"+Inf SideLatencySeconds", func(c *Config) { c.SideLatencySeconds = math.Inf(1) }},
+	{"negative SideLatencySeconds", func(c *Config) { c.SideLatencySeconds = -0.001 }},
+	{"NaN SideJitterSeconds", func(c *Config) { c.SideJitterSeconds = math.NaN() }},
+	{"+Inf SideJitterSeconds", func(c *Config) { c.SideJitterSeconds = math.Inf(1) }},
+	{"negative SideJitterSeconds", func(c *Config) { c.SideJitterSeconds = -0.001 }},
+	{"NaN SideLossProb", func(c *Config) { c.SideLossProb = math.NaN() }},
+	{"SideLossProb above 1", func(c *Config) { c.SideLossProb = 1.5 }},
+	{"negative SideLossProb", func(c *Config) { c.SideLossProb = -0.1 }},
+	{"NaN UplinkVLCBitRate", func(c *Config) { c.UplinkVLCBitRate = math.NaN() }},
+	{"+Inf UplinkVLCBitRate", func(c *Config) { c.UplinkVLCBitRate = math.Inf(1) }},
+	{"NaN UplinkVLCRangeM", func(c *Config) { c.UplinkVLCRangeM = math.NaN() }},
+	{"+Inf UplinkVLCRangeM", func(c *Config) { c.UplinkVLCRangeM = math.Inf(1) }},
 }
 
 func TestStaticThroughputNearTheory(t *testing.T) {

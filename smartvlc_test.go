@@ -179,6 +179,59 @@ func TestFrameSlotsErrorPath(t *testing.T) {
 	}
 }
 
+// TestNonFiniteLevelRejected: a NaN or infinite dimming level fails the
+// range check of every public entry point that takes one. Functions with
+// an error return it, the rate functions return 0, and nothing indexes
+// the envelope out of range.
+func TestNonFiniteLevelRejected(t *testing.T) {
+	sys := newSystem(t)
+	schemes := []Scheme{sys.Scheme(), NewVPPM(), NewOOKCT()}
+	for _, n := range []func(int) (Scheme, error){NewMPPM, NewOPPM} {
+		sch, err := n(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, sch)
+	}
+	st, err := sys.OpenStream(Aligned(1, 0), 100, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []struct {
+			name string
+			err  error
+		}{
+			{"PlanFor", second(sys.PlanFor(level))},
+			{"BuildFrame", second(sys.BuildFrame(level, []byte("hi")))},
+			{"FrameSlots", second(sys.FrameSlots(level, 2))},
+			{"OpenStream", second(sys.OpenStream(Aligned(1, 0), 100, level, 1))},
+			{"Stream.SetLevel", st.SetLevel(level)},
+		} {
+			if c.err == nil {
+				t.Errorf("%s(%v) returned no error", c.name, level)
+			}
+		}
+		for _, sch := range schemes {
+			if _, err := sch.CodecFor(level); err == nil {
+				t.Errorf("%s.CodecFor(%v) returned no error", sch.Name(), level)
+			}
+		}
+		if r := sys.Throughput(level); r != 0 {
+			t.Errorf("Throughput(%v) = %v, want 0", level, r)
+		}
+		if r := sys.EnvelopeRateAt(level); r != 0 {
+			t.Errorf("EnvelopeRateAt(%v) = %v, want 0", level, r)
+		}
+	}
+	if _, err := st.Write([]byte("still at level 0.5")); err != nil {
+		t.Fatalf("stream after rejected levels: %v", err)
+	}
+}
+
+// second returns a two-value call's error.
+func second[T any](_ T, err error) error { return err }
+
 func TestDeliverValidation(t *testing.T) {
 	sys := newSystem(t)
 	if _, err := sys.Deliver(Geometry{}, 100, 1, make([]bool, 100)); err == nil {

@@ -84,7 +84,7 @@ func (s *System) OpenStream(g Geometry, ambientLux, level float64, seed uint64) 
 		return nil, err
 	}
 	lo, hi := s.LevelRange()
-	if level < lo || level > hi {
+	if !(level >= lo && level <= hi) { // NaN fails too
 		return nil, fmt.Errorf("smartvlc: level %v outside [%v, %v]", level, lo, hi)
 	}
 	return &Stream{
@@ -198,7 +198,7 @@ func (st *Stream) FinishHealth() *health.Snapshot {
 // SetLevel changes the dimming level for subsequent writes.
 func (st *Stream) SetLevel(level float64) error {
 	lo, hi := st.sys.LevelRange()
-	if level < lo || level > hi {
+	if !(level >= lo && level <= hi) { // NaN fails too
 		return fmt.Errorf("smartvlc: level %v outside [%v, %v]", level, lo, hi)
 	}
 	st.level = level
