@@ -18,7 +18,7 @@
 // Flags:
 //
 //	-top N    rows in the slowest/worst-frame tables (default 5)
-//	-root S   frame-root span name (default "frame"; streams use "chunk")
+//	-root S   frame-root span name (default "frame")
 package main
 
 import (
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	top := flag.Int("top", 5, "rows in the slowest/worst-frame tables")
-	root := flag.String("root", "frame", "frame-root span name (\"frame\" or \"chunk\")")
+	root := flag.String("root", "frame", "frame-root span name")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vlctrace [flags] trace|spans|bundle|exemplars PATH\n")
 		flag.PrintDefaults()

@@ -13,15 +13,3 @@ var global = New()
 // package-level cache instrumentation can register counters at init time;
 // the per-increment cost is one atomic add.
 func Global() *Registry { return global }
-
-// SlotClock converts a monotonically advancing slot index into the
-// deterministic timestamps the telemetry layer requires: seconds =
-// slots × TSlotSeconds. Emitters that count air time in slots (Stream,
-// offline decoders) use it instead of wall time.
-type SlotClock struct {
-	// TSlotSeconds is the slot duration (the paper's prototype: 8 µs).
-	TSlotSeconds float64
-}
-
-// At returns the deterministic time of the given slot index in seconds.
-func (c SlotClock) At(slot int) float64 { return float64(slot) * c.TSlotSeconds }

@@ -88,7 +88,7 @@ func (t *Tree) Children(id ID) []ID { return t.children[id] }
 func (t *Tree) Roots() []ID { return t.roots }
 
 // FrameRoots returns the roots with the given name ("frame" in link
-// sessions, "chunk" in streams) in record order — one per transmission.
+// sessions) in record order — one per transmission.
 func (t *Tree) FrameRoots(name string) []Span {
 	var out []Span
 	for _, id := range t.roots {
@@ -148,7 +148,7 @@ type Chain struct {
 
 // RetxChains groups same-named roots into retransmit chains and returns
 // only chains with more than one transmission, longest first (ties by
-// sequence). rootName is the frame-root span name ("frame" or "chunk").
+// sequence). rootName is the frame-root span name ("frame" in sessions).
 func (t *Tree) RetxChains(rootName string) []Chain {
 	frames := t.FrameRoots(rootName) // sorted by ID
 	isRetx := map[ID]bool{}          // frame roots that continue a chain

@@ -21,8 +21,8 @@ import (
 
 // Options parameterizes a report.
 type Options struct {
-	// Root is the frame-root span name: "frame" for sessions, "chunk" for
-	// streams. Empty means "frame".
+	// Root is the frame-root span name. Empty means "frame", the root
+	// sessions record.
 	Root string
 	// Top bounds the slowest/worst-frame and retransmit-chain tables.
 	// Zero or negative means 5.

@@ -27,13 +27,13 @@ import "sync"
 type Level int
 
 const (
-	// Debug records per-frame narration (clean decodes, chunk attempts).
+	// Debug records per-frame narration (preamble locks, clean decodes).
 	Debug Level = iota
 	// Info records session lifecycle and recoverable decisions.
 	Info
 	// Warn records degradation: decode errors, retransmits, SLO warnings.
 	Warn
-	// Error records failures: chunk exhaustion, critical SLO burns.
+	// Error records failures: critical SLO burns.
 	Error
 )
 

@@ -22,11 +22,11 @@ type (
 	// serializable as JSON or Prometheus text exposition.
 	TelemetrySnapshot = telemetry.Snapshot
 
-	// Span is one causal pipeline stage of one frame or chunk.
+	// Span is one causal pipeline stage of one frame.
 	Span = span.Span
 	// SpanCollector accumulates causal frame spans; attach one via
-	// SessionConfig.Spans, System.SetSpans or Stream.SetSpans. Nil is the
-	// zero-cost no-op default everywhere.
+	// SessionConfig.Spans or System.SetSpans. Nil is the zero-cost no-op
+	// default everywhere.
 	SpanCollector = span.Collector
 	// SpanSnapshot is a canonical export of a collector, serializable as
 	// JSON or as a Chrome trace_event file (WriteChromeTrace) that opens
@@ -46,7 +46,7 @@ type (
 
 	// HealthConfig parameterizes a link-health monitor: time-series bucket
 	// width, downsampling pyramid depth, and the SLO objectives to burn
-	// against. Pass one via SessionConfig.Health or Stream.SetHealth.
+	// against. Pass one via SessionConfig.Health.
 	HealthConfig = health.Config
 	// HealthMonitor aggregates link observations into sim-clock time-series
 	// buckets and evaluates SLO burn rates. A nil monitor is a no-op.
@@ -74,8 +74,8 @@ type (
 	// Logger is a deterministic structured logger: leveled records on the
 	// simulation clock in a bounded ring, each carrying the correlation
 	// keys (seq, span, stage, scheme, dim, shard) that join it against the
-	// other telemetry pillars. Attach one via SessionConfig.Logs or
-	// Stream.SetLog; nil is the zero-cost no-op default.
+	// other telemetry pillars. Attach one via SessionConfig.Logs; nil is
+	// the zero-cost no-op default.
 	Logger = vlog.Logger
 	// LogLevel orders record severity: LogDebug, LogInfo, LogWarn, LogError.
 	LogLevel = vlog.Level
@@ -108,7 +108,7 @@ const (
 )
 
 // NewLogger returns an empty structured logger keeping records at or
-// above min, for SessionConfig.Logs or Stream.SetLog.
+// above min, for SessionConfig.Logs.
 func NewLogger(min LogLevel) *Logger { return vlog.New(min) }
 
 // NewLogConsole returns a console renderer for log records writing to w
@@ -130,8 +130,8 @@ func ParseLogNDJSON(r io.Reader) (*LogSnapshot, error) { return vlog.ParseNDJSON
 // "error") to its LogLevel.
 func ParseLogLevel(s string) (LogLevel, bool) { return vlog.ParseLevel(s) }
 
-// NewSpanCollector returns an empty span collector for SessionConfig.Spans,
-// System.SetSpans or Stream.SetSpans.
+// NewSpanCollector returns an empty span collector for SessionConfig.Spans
+// or System.SetSpans.
 func NewSpanCollector() *SpanCollector { return span.NewCollector() }
 
 // NewFlightRecorder arms an anomaly flight recorder writing bundles under
@@ -141,9 +141,9 @@ func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) { return fligh
 // ReadFlightBundle loads a flight-recorder bundle directory.
 func ReadFlightBundle(dir string) (*FlightBundle, error) { return flight.ReadBundle(dir) }
 
-// NewTelemetry returns an empty registry to pass to SessionConfig.Telemetry,
-// System.SetTelemetry or Stream.SetTelemetry. A nil registry everywhere is
-// a no-op and keeps the hot paths allocation-free.
+// NewTelemetry returns an empty registry to pass to SessionConfig.Telemetry
+// or System.SetTelemetry. A nil registry everywhere is a no-op and keeps
+// the hot paths allocation-free.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // MergeTelemetry combines per-session snapshots into one fleet-level

@@ -54,24 +54,10 @@ func TestDeliverRecordsIntoRegistry(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	find := func(name, k, v string) int64 {
-		for _, c := range snap.Counters {
-			if c.Name != name {
-				continue
-			}
-			if k == "" && len(c.Labels) == 0 {
-				return c.Value
-			}
-			if len(c.Labels) == 1 && c.Labels[0].Key == k && c.Labels[0].Value == v {
-				return c.Value
-			}
-		}
-		return 0
-	}
-	if n := find("phy_tx_frames_total", "", ""); n != 3 {
+	if n := counterValue(snap, "phy_tx_frames_total", "", ""); n != 3 {
 		t.Errorf("phy_tx_frames_total=%d, want 3", n)
 	}
-	if n := find("phy_rx_frames_total", "outcome", "ok"); n != 3 {
+	if n := counterValue(snap, "phy_rx_frames_total", "outcome", "ok"); n != 3 {
 		t.Errorf("phy_rx_frames_total{outcome=ok}=%d, want 3", n)
 	}
 
@@ -83,6 +69,23 @@ func TestDeliverRecordsIntoRegistry(t *testing.T) {
 	if !strings.Contains(sb.String(), `phy_rx_frames_total{outcome="ok"} 3`) {
 		t.Fatalf("exposition missing rx counter:\n%s", sb.String())
 	}
+}
+
+// counterValue returns the counter named name with no label (k == "") or
+// with the one label k=v, or 0 when the snapshot has none.
+func counterValue(snap *TelemetrySnapshot, name, k, v string) int64 {
+	for _, c := range snap.Counters {
+		if c.Name != name {
+			continue
+		}
+		if k == "" && len(c.Labels) == 0 {
+			return c.Value
+		}
+		if len(c.Labels) == 1 && c.Labels[0].Key == k && c.Labels[0].Value == v {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // TestRepeatedLevelSessionHitsCaches is the ISSUE's cache-effectiveness
@@ -129,38 +132,61 @@ func TestRepeatedLevelSessionHitsCaches(t *testing.T) {
 	}
 }
 
+// TestStreamTelemetry observes a Stream through its System at a clean
+// (3.3 m) and a lossy (4.6 m) operating point. Each chunk attempt is one
+// Deliver, so the System's registry and span collector count what Stats()
+// reports, and identically seeded streams record byte-identical
+// snapshots. Failed attempts are not compared with phy_rx_frames_total's
+// bad outcomes: one attempt may lock and reject a preamble more than once.
 func TestStreamTelemetry(t *testing.T) {
-	sys := newSystem(t)
-	st, err := sys.OpenStream(Aligned(3, 0), 500, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Telemetry() != nil {
-		t.Fatal("telemetry snapshot present before SetTelemetry")
-	}
-	st.SetTelemetry(NewTelemetry())
-	data := bytes.Repeat([]byte{0x3C}, 2048)
-	if _, err := st.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Telemetry()
-	if snap == nil {
-		t.Fatal("no snapshot after instrumented writes")
-	}
-	stats := st.Stats()
-	var frames, delivered int64
-	for _, c := range snap.Counters {
-		switch c.Name {
-		case "stream_frames_tx_total":
-			frames = c.Value
-		case "stream_delivered_bytes_total":
-			delivered = c.Value
+	run := func(d float64) (StreamStats, *TelemetrySnapshot, *SpanSnapshot) {
+		t.Helper()
+		sys := newSystem(t)
+		reg, col := NewTelemetry(), NewSpanCollector()
+		sys.SetTelemetry(reg)
+		sys.SetSpans(col)
+		st, err := sys.OpenStream(Aligned(d, 0), 8000, 0.5, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
+		st.MaxAttempts = 4
+		if _, err := st.Write(bytes.Repeat([]byte("pin "), 256)); (err != nil) != (d > 4) {
+			t.Fatalf("%g m: Write error %v", d, err)
+		}
+		return st.Stats(), reg.Snapshot(), col.Snapshot()
 	}
-	if frames != int64(stats.FramesSent) {
-		t.Errorf("stream_frames_tx_total=%d, Stats().FramesSent=%d", frames, stats.FramesSent)
+	jsonOf := func(s interface{ JSON() ([]byte, error) }) []byte {
+		t.Helper()
+		b, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if delivered != stats.DeliveredBytes {
-		t.Errorf("stream_delivered_bytes_total=%d, Stats().DeliveredBytes=%d", delivered, stats.DeliveredBytes)
+	for _, d := range []float64{3.3, 4.6} {
+		stats, tel, spans := run(d)
+		var roots, chunks int64
+		for _, s := range spans.Spans {
+			if s.Name == "deliver" && s.Parent == 0 {
+				roots++
+			}
+		}
+		for _, n := range stats.ChunkAttempts {
+			chunks += n
+		}
+		tx := counterValue(tel, "phy_tx_frames_total", "", "")
+		ok := counterValue(tel, "phy_rx_frames_total", "outcome", "ok")
+		t.Logf("%g m: %d tx frames, %d deliver roots, %d frames sent; %d ok, %d chunks delivered", d, tx, roots, stats.FramesSent, ok, chunks)
+		if tx != roots || roots != int64(stats.FramesSent) {
+			t.Errorf("%g m: phy_tx_frames_total=%d, deliver roots=%d, Stats().FramesSent=%d", d, tx, roots, stats.FramesSent)
+		}
+		if ok != chunks {
+			t.Errorf("%g m: phy_rx_frames_total{outcome=ok}=%d, chunks delivered=%d", d, ok, chunks)
+		}
+
+		_, tel2, spans2 := run(d)
+		if !bytes.Equal(jsonOf(tel), jsonOf(tel2)) || !bytes.Equal(jsonOf(spans), jsonOf(spans2)) {
+			t.Errorf("%g m: identically seeded streams recorded different snapshots", d)
+		}
 	}
 }
